@@ -127,11 +127,7 @@ func (e *Engine) PTkSnapshot(s *Snapshot, k int, threshold float64) ([]TupleProb
 	if err != nil {
 		return nil, err
 	}
-	positions, err := baselines.PTk(prep, k, threshold)
-	if err != nil {
-		return nil, err
-	}
-	probs, err := baselines.InTopkProbs(prep, k)
+	positions, probs, err := baselines.PTkProbs(prep, k, threshold)
 	if err != nil {
 		return nil, err
 	}
@@ -158,11 +154,7 @@ func (e *Engine) GlobalTopKSnapshot(s *Snapshot, k int) ([]TupleProb, error) {
 	if err != nil {
 		return nil, err
 	}
-	positions, err := baselines.GlobalTopk(prep, k)
-	if err != nil {
-		return nil, err
-	}
-	probs, err := baselines.InTopkProbs(prep, k)
+	positions, probs, err := baselines.GlobalTopkProbs(prep, k)
 	if err != nil {
 		return nil, err
 	}
@@ -235,11 +227,10 @@ func (e *Engine) ExpectedRankTopKSnapshot(s *Snapshot, k int) ([]ExpectedRankTup
 	if err != nil {
 		return nil, err
 	}
-	positions, err := baselines.ExpectedRankTopk(prep, k)
+	positions, ranks, err := baselines.ExpectedRankTopkRanks(prep, k)
 	if err != nil {
 		return nil, err
 	}
-	ranks := baselines.ExpectedRanks(prep)
 	out := make([]ExpectedRankTuple, 0, len(positions))
 	for _, pos := range positions {
 		tp := prep.Tuples[pos]

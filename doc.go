@@ -85,6 +85,22 @@
 // win; at a 100,000-tuple window a mid-rank push is ~130x faster than the
 // retired suffix-era maintenance).
 //
+// A thresholded main-algorithm query (threshold > 0: TopKDistribution,
+// batches and CTypicalTopK over a snapshot that carries an index view)
+// does not materialize the whole prepared form either. By Theorem 2 its
+// scan stops once μ reaches Bound(k, pτ); the view builds only the shortest
+// rank prefix whose prefix mass reaches that bound plus one group's
+// largest mass, ends it with a whole tie group, and memoizes it, in
+// O(D + log n) for D ranks. The engine confirms that every stop lies
+// strictly inside the prefix, so answers are bit-identical to the whole
+// form's. The whole form is still built for exact queries, StateExpansion,
+// KCombo, the baseline semantics, snapshots without a view, and views that
+// cannot prove every ME group within its mass bound, so their answers and
+// errors are unchanged. EngineStats.IndexPrefixBuilds counts the prefixes
+// built. The server's appends are O(m log n) for m tuples: they check only
+// the new tuples against a ledger of ids and per-group sums and publish a
+// successor table sharing the old one's storage (Table.Extend).
+//
 // Stream maintains a sliding window on exactly this index: each Push
 // inserts the new tuple and deletes the evicted one in O(log W); repeated
 // queries over an unchanged window reuse the materialized prepared state
@@ -175,8 +191,8 @@
 // registry slice, the mutation/durability mutex and the WAL segment
 // sequence (wal-sNN-%08d.seg); the prepared-query cache is split into N
 // partitions of its own, routed by table identity (NewEngineSharded). So
-// durable mutations of tables on different shards — clone, validate, log,
-// fsync — proceed in parallel instead of serializing behind one global
+// durable mutations of tables on different shards — check, log, fsync,
+// publish — proceed in parallel instead of serializing behind one global
 // mutex. Queries are unaffected:
 // they were already lock-free over immutable snapshots, and answers are
 // byte-identical at any shard count. The snapshot file (format v2)

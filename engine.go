@@ -116,6 +116,11 @@ type EngineStats struct {
 	IndexSuffixRebuilds uint64
 	IndexFullRebuilds   uint64
 	IndexViewRebuilds   uint64
+	// IndexPrefixBuilds counts, process-wide, the rank prefixes frozen
+	// views built for thresholded main-algorithm queries, which scan only a
+	// prefix and so skip the whole prepared form (and the prepared-table
+	// cache).
+	IndexPrefixBuilds uint64
 }
 
 // CacheStats returns a snapshot of the engine's cache counters.
@@ -130,6 +135,7 @@ func (e *Engine) CacheStats() EngineStats {
 		IndexSuffixRebuilds: s.Index.SuffixMaterializations,
 		IndexFullRebuilds:   s.Index.FullMaterializations,
 		IndexViewRebuilds:   s.Index.ViewMaterializations,
+		IndexPrefixBuilds:   s.Index.PrefixMaterializations,
 	}
 }
 
@@ -157,12 +163,12 @@ func (e *Engine) TopKDistributionSnapshot(s *Snapshot, k int, opts *Options) (*D
 	if s == nil {
 		return nil, ErrNilSnapshot
 	}
-	prep, err := e.e.PrepareSnapshot(s)
+	params, alg := opts.resolve()
+	params.K = k
+	prep, err := e.prepareFor(s, alg, []engine.Query{{K: k, Threshold: params.Threshold}})
 	if err != nil {
 		return nil, err
 	}
-	params, alg := opts.resolve()
-	params.K = k
 	var res *core.Result
 	switch alg {
 	case AlgorithmMain:
@@ -211,17 +217,17 @@ func (e *Engine) TopKDistributionBatchSnapshot(s *Snapshot, queries []BatchQuery
 	if s == nil {
 		return nil, ErrNilSnapshot
 	}
-	prep, err := e.e.PrepareSnapshot(s)
-	if err != nil {
-		return nil, err
-	}
 	params, alg := opts.resolve()
-	if alg != AlgorithmMain {
-		return nil, fmt.Errorf("probtopk: batch execution supports only AlgorithmMain, got %v", alg)
-	}
 	qs := make([]engine.Query, len(queries))
 	for i, q := range queries {
 		qs[i] = engine.Query{K: q.K, Threshold: resolveThreshold(q.Threshold)}
+	}
+	prep, err := e.prepareFor(s, alg, qs)
+	if err != nil {
+		return nil, err
+	}
+	if alg != AlgorithmMain {
+		return nil, fmt.Errorf("probtopk: batch execution supports only AlgorithmMain, got %v", alg)
 	}
 	results, err := e.e.BatchPrepared(prep, params, qs, params.Parallelism)
 	if err != nil {
@@ -257,6 +263,17 @@ func (e *Engine) CTypicalTopKSnapshot(s *Snapshot, k, c int, opts *Options) ([]L
 	}
 	lines, _, err := dist.Typical(c)
 	return lines, err
+}
+
+// prepareFor returns the prepared form of s that queries with algorithm alg
+// need: for the main algorithm, only the rank prefix their Theorem-2 scans
+// reach when s carries an index view (engine.PrepareScan); otherwise the
+// whole form, from the cache when possible.
+func (e *Engine) prepareFor(s *Snapshot, alg Algorithm, queries []engine.Query) (*uncertain.Prepared, error) {
+	if alg == AlgorithmMain {
+		return e.e.PrepareScan(s, queries)
+	}
+	return e.e.PrepareSnapshot(s)
 }
 
 // prepareSnapshot returns the cached prepared form of s via this engine.

@@ -167,12 +167,19 @@ func UKRanks(p *uncertain.Prepared, k int) ([]RankAnswer, error) {
 // top-k is at least threshold, in rank order — the probabilistic threshold
 // top-k semantics of Hua et al.
 func PTk(p *uncertain.Prepared, k int, threshold float64) ([]int, error) {
+	out, _, err := PTkProbs(p, k, threshold)
+	return out, err
+}
+
+// PTkProbs is PTk that also returns the in-top-k probabilities of every
+// position (InTopkProbs), so callers reporting them compute them once.
+func PTkProbs(p *uncertain.Prepared, k int, threshold float64) ([]int, []float64, error) {
 	if threshold <= 0 || threshold > 1 {
-		return nil, fmt.Errorf("baselines: PT-k threshold must be in (0, 1], got %v", threshold)
+		return nil, nil, fmt.Errorf("baselines: PT-k threshold must be in (0, 1], got %v", threshold)
 	}
 	probs, err := InTopkProbs(p, k)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var out []int
 	for i, pr := range probs {
@@ -180,19 +187,27 @@ func PTk(p *uncertain.Prepared, k int, threshold float64) ([]int, error) {
 			out = append(out, i)
 		}
 	}
-	return out, nil
+	return out, probs, nil
 }
 
 // GlobalTopk returns the k positions with the highest probability of being
 // in the top-k (ties toward higher-ranked tuples), in decreasing order of
 // that probability — the Global-Topk semantics of Zhang and Chomicki.
 func GlobalTopk(p *uncertain.Prepared, k int) ([]int, error) {
+	out, _, err := GlobalTopkProbs(p, k)
+	return out, err
+}
+
+// GlobalTopkProbs is GlobalTopk that also returns the in-top-k
+// probabilities of every position (InTopkProbs), so callers reporting them
+// compute them once.
+func GlobalTopkProbs(p *uncertain.Prepared, k int) ([]int, []float64, error) {
 	probs, err := InTopkProbs(p, k)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if p.Len() < k {
-		return nil, errors.New("baselines: table has fewer tuples than k")
+		return nil, nil, errors.New("baselines: table has fewer tuples than k")
 	}
 	idx := make([]int, p.Len())
 	for i := range idx {
@@ -204,5 +219,5 @@ func GlobalTopk(p *uncertain.Prepared, k int) ([]int, error) {
 		}
 		return idx[a] < idx[b]
 	})
-	return idx[:k], nil
+	return idx[:k], probs, nil
 }

@@ -57,11 +57,19 @@ func ExpectedRanks(p *uncertain.Prepared) []float64 {
 // ExpectedRankTopk returns the k positions with the smallest expected rank,
 // in increasing expected-rank order (ties toward higher-ranked tuples).
 func ExpectedRankTopk(p *uncertain.Prepared, k int) ([]int, error) {
+	out, _, err := ExpectedRankTopkRanks(p, k)
+	return out, err
+}
+
+// ExpectedRankTopkRanks is ExpectedRankTopk that also returns the expected
+// rank of every position (ExpectedRanks), so callers reporting them compute
+// them once.
+func ExpectedRankTopkRanks(p *uncertain.Prepared, k int) ([]int, []float64, error) {
 	if k < 1 {
-		return nil, fmt.Errorf("baselines: k must be ≥ 1, got %d", k)
+		return nil, nil, fmt.Errorf("baselines: k must be ≥ 1, got %d", k)
 	}
 	if p.Len() < k {
-		return nil, fmt.Errorf("baselines: table has %d tuples, need %d", p.Len(), k)
+		return nil, nil, fmt.Errorf("baselines: table has %d tuples, need %d", p.Len(), k)
 	}
 	ranks := ExpectedRanks(p)
 	idx := make([]int, p.Len())
@@ -74,5 +82,5 @@ func ExpectedRankTopk(p *uncertain.Prepared, k int) ([]int, error) {
 		}
 		return idx[a] < idx[b]
 	})
-	return idx[:k], nil
+	return idx[:k], ranks, nil
 }

@@ -174,21 +174,9 @@ func VectorProb(p *uncertain.Prepared, vec []int) float64 {
 // group — reaches Bound(k, ptau). The cut is then extended to the end of the
 // enclosing tie group, since configurations never split a tie group.
 func ScanDepth(p *uncertain.Prepared, k int, ptau float64) int {
-	n := p.Len()
-	bound := Bound(k, ptau)
-	if math.IsInf(bound, 1) {
-		return n
-	}
-	depth := n
-	for i := 0; i < n; i++ {
-		tp := p.Tuples[i]
-		// PrefixProbability is precomputed once per Prepared, so repeated
-		// queries and batches share the scan's running sums.
-		mu := p.PrefixProbability(i) - p.PrefixMass(tp.Group, i)
-		if mu >= bound {
-			depth = i
-			break
-		}
+	depth, stopped := StopRank(p, k, ptau)
+	if !stopped {
+		return p.Len()
 	}
 	if depth == 0 {
 		return 0
@@ -199,4 +187,27 @@ func ScanDepth(p *uncertain.Prepared, k int, ptau float64) int {
 		depth = end
 	}
 	return depth
+}
+
+// StopRank returns the rank of the first tuple t whose μ(t) reaches
+// Bound(k, ptau), the Theorem-2 stopping point before the tie-group
+// extension, and whether any tuple of p reaches it. A Prepared holding only
+// a rank prefix of a table gives the whole table's answer whenever the stop
+// falls inside the prefix, since μ depends only on higher ranks.
+func StopRank(p *uncertain.Prepared, k int, ptau float64) (int, bool) {
+	n := p.Len()
+	bound := Bound(k, ptau)
+	if math.IsInf(bound, 1) {
+		return n, false
+	}
+	for i := 0; i < n; i++ {
+		tp := p.Tuples[i]
+		// PrefixProbability is precomputed once per Prepared, so repeated
+		// queries and batches share the scan's running sums.
+		mu := p.PrefixProbability(i) - p.PrefixMass(tp.Group, i)
+		if mu >= bound {
+			return i, true
+		}
+	}
+	return n, false
 }

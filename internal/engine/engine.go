@@ -11,6 +11,10 @@
 //     because IDs are process-unique and never reused — a cached entry can
 //     never be served for different contents, whatever happens to table
 //     pointers, versions or clones.
+//   - Prefix preparation. A thresholded main-algorithm query scans only
+//     the first ranks (Theorem 2), so PrepareScan serves it from the rank
+//     prefix of the snapshot's index view that the scan can reach, built in
+//     O(scan depth + log n), instead of the whole prepared form.
 //   - Pooled scratch. Every query draws its dynamic-programming working
 //     state (grid combiner, coalescer, recycled intermediate distributions)
 //     from the process-wide core.Scratch pool, so steady-state queries
@@ -232,6 +236,49 @@ func (e *Engine) PrepareSnapshot(s *uncertain.Snapshot) (*uncertain.Prepared, er
 	e.evictions.Add(p.insertLocked(&cacheEntry{id: id, owner: s.Owner(), prep: prep}))
 	p.mu.Unlock()
 	return prep, nil
+}
+
+// PrepareScan returns a Prepared form of s that answers the given
+// main-algorithm queries exactly as the whole form would. When every query
+// is thresholded and s carries an index view, that is only the rank prefix
+// the queries' Theorem-2 scans can reach (IndexView.MaterializePrefix,
+// sized by the largest bound): O(scan depth + log n) instead of O(n).
+// Otherwise — an exact query, no view, a view that cannot vouch for its
+// group masses, or a stop the prefix does not contain — it is
+// PrepareSnapshot's whole form, with PrepareSnapshot's errors.
+func (e *Engine) PrepareScan(s *uncertain.Snapshot, queries []Query) (*uncertain.Prepared, error) {
+	if p := prefixFor(s, queries); p != nil {
+		return p, nil
+	}
+	return e.PrepareSnapshot(s)
+}
+
+// prefixFor returns the view's Prepared form for queries when it contains
+// every query's Theorem-2 stop, nil when PrepareScan must fall back.
+func prefixFor(s *uncertain.Snapshot, queries []Query) *uncertain.Prepared {
+	v := s.IndexView()
+	if v == nil || len(queries) == 0 {
+		return nil
+	}
+	var bound float64
+	for _, q := range queries {
+		if q.K < 1 || !(q.Threshold > 0 && q.Threshold < 1) {
+			return nil
+		}
+		bound = max(bound, core.Bound(q.K, q.Threshold))
+	}
+	p := v.MaterializePrefix(bound)
+	if p == nil || p.Len() == s.Len() {
+		return p
+	}
+	// The prefix was sized from tree aggregates; confirm with the scan's own
+	// running sums that every stop lies strictly inside it.
+	for _, q := range queries {
+		if stop, ok := core.StopRank(p, q.K, q.Threshold); !ok || stop >= p.Len() {
+			return nil
+		}
+	}
+	return p
 }
 
 // insertLocked adds ent to the partition, returning how many entries the

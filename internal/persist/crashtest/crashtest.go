@@ -45,6 +45,14 @@ func (b *Budget) LimitSyncs(n int64) {
 	b.syncs = n
 }
 
+// Refill grants n more written bytes: the disk comes back, so a log whose
+// failed write was rolled back can accept appends again.
+func (b *Budget) Refill(n int64) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.remaining += n
+}
+
 // Tripped reports whether a write or fsync has failed against this budget.
 func (b *Budget) Tripped() bool {
 	b.mu.Lock()

@@ -530,6 +530,10 @@ type DynamicIndexJSON struct {
 	// ViewRebuilds counts materializations performed by frozen views
 	// (typically the engine preparing a just-mutated table's snapshot).
 	ViewRebuilds uint64 `json:"viewRebuilds"`
+	// PrefixBuilds counts the rank prefixes frozen views built for
+	// thresholded /topk, /topk/batch and /typical reads, which scan only
+	// the first Theorem-2 ranks; such reads skip the whole prepared form.
+	PrefixBuilds uint64 `json:"prefixBuilds"`
 }
 
 // ReplicationShardJSON is one leader shard's staleness as seen by a

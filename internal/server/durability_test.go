@@ -241,6 +241,30 @@ func TestDurabilityFailureRejectsMutation(t *testing.T) {
 	if info.Tuples != 3 {
 		t.Fatalf("durable state drifted: %+v", info)
 	}
+
+	// A WAL failure after the append passed validation must not leave its
+	// id or group mass behind: once the disk is back, the same append
+	// succeeds, and it is durable.
+	s3.crash()
+	budget = crashtest.NewBudget(16)
+	s4 := bootDurable(t, dir, persist.Options{OpenFile: budget.OpenFile})
+	grow := `{"tuples": [{"id": "car9", "score": 9, "prob": 0.1, "group": "lane3"}]}`
+	if w := doReq(t, s4, "POST", "/tables/fleet/tuples", grow); w.Code != http.StatusServiceUnavailable {
+		t.Fatalf("append on dead disk: %d %s", w.Code, w.Body.String())
+	}
+	budget.Refill(1 << 20)
+	if w := doReq(t, s4, "POST", "/tables/fleet/tuples", grow); w.Code != http.StatusOK {
+		t.Fatalf("retried append: %d %s", w.Code, w.Body.String())
+	}
+	s4.crash()
+	s5 := bootDurable(t, dir, persist.Options{})
+	w = doReq(t, s5, "GET", "/tables/fleet", "")
+	if err := json.Unmarshal(w.Body.Bytes(), &info); err != nil {
+		t.Fatal(err)
+	}
+	if info.Tuples != 4 {
+		t.Fatalf("retried append not durable: %+v", info)
+	}
 }
 
 // TestNonDurableServerHasNoDurabilityStats pins the zero-config behavior:

@@ -23,6 +23,9 @@ import "sync"
 type call[V any] struct {
 	done chan struct{}
 	val  V
+	// dups counts the followers that joined this call, under Group.mu;
+	// tests read it to know when every caller is parked.
+	dups int
 }
 
 // Group deduplicates concurrent calls by key. The zero value is ready to
@@ -47,6 +50,7 @@ func (g *Group[V]) Do(key string, fn func() V) (v V, shared bool) {
 		g.m = make(map[string]*call[V])
 	}
 	if c, ok := g.m[key]; ok {
+		c.dups++
 		g.mu.Unlock()
 		<-c.done
 		return c.val, true

@@ -1,11 +1,23 @@
 package flight
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
+
+// followers reports how many callers have joined key's in-progress flight
+// as followers: 0 when key is not in flight.
+func followers[V any](g *Group[V], key string) int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if c, ok := g.m[key]; ok {
+		return c.dups
+	}
+	return 0
+}
 
 // N concurrent callers on one cold key execute fn exactly once and all see
 // the leader's value.
@@ -27,8 +39,11 @@ func TestCoalesce(t *testing.T) {
 			})
 		}(i)
 	}
-	// Let every goroutine reach Do before the leader finishes.
-	for g.InFlight() == 0 {
+	// Hold the leader until every other caller has joined its flight as a
+	// follower; a caller arriving after the leader finished would rightly
+	// run fn again.
+	for followers(&g, "k") < n-1 {
+		runtime.Gosched()
 	}
 	close(gate)
 	wg.Wait()

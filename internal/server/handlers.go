@@ -38,19 +38,6 @@ func tableInfo(name string, st *tableState) TableInfo {
 	}
 }
 
-// checkUniqueIDs rejects tables with duplicate tuple ids: answers reference
-// tuples by id, so ids must be unambiguous.
-func checkUniqueIDs(tab *probtopk.Table) error {
-	seen := make(map[string]bool, tab.Len())
-	for _, tp := range tab.Tuples() {
-		if seen[tp.ID] {
-			return fmt.Errorf("duplicate tuple id %q", tp.ID)
-		}
-		seen[tp.ID] = true
-	}
-	return nil
-}
-
 // decodeTuplesJSON strictly parses the JSON {"tuples": [...]} body shared
 // by table uploads and appends: unknown fields and trailing data are
 // errors, like the query decoder.
@@ -122,16 +109,13 @@ func (s *Server) installTable(name string, tab *probtopk.Table, logIt bool) (*ta
 	if err := checkTableName(name); err != nil {
 		return nil, false, err
 	}
-	if err := tab.Validate(); err != nil {
+	// Validate and build the published state — snapshot, dynamic index and
+	// ledger — outside the durability critical section; the WAL append
+	// below only serializes the cheap registry swap.
+	h, err := newHostedTable(tab)
+	if err != nil {
 		return nil, false, err
 	}
-	if err := checkUniqueIDs(tab); err != nil {
-		return nil, false, err
-	}
-	// Build the published state — snapshot plus dynamic index — outside the
-	// durability critical section; the WAL append below only serializes the
-	// cheap registry swap.
-	st, idx := newTableState(tab)
 	var published, replaced *tableState
 	if s.durable != nil && logIt {
 		shard := s.shardOf(name)
@@ -140,10 +124,10 @@ func (s *Server) installTable(name string, tab *probtopk.Table, logIt bool) (*ta
 			s.durMu[shard].Unlock()
 			return nil, false, &durabilityError{err}
 		}
-		published, replaced = s.reg.put(name, st, idx)
+		published, replaced = s.reg.put(name, h)
 		s.durMu[shard].Unlock()
 	} else {
-		published, replaced = s.reg.put(name, st, idx)
+		published, replaced = s.reg.put(name, h)
 	}
 	s.cache.InvalidateTable(name)
 	if replaced != nil {
@@ -334,6 +318,40 @@ func (s *Server) handleAppendTuples(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("no tuples to append"))
 		return
 	}
+	tuples := make([]probtopk.Tuple, len(req.Tuples))
+	for i, tp := range req.Tuples {
+		tuples[i] = probtopk.Tuple{ID: tp.ID, Score: tp.Score, Prob: tp.Prob, Group: tp.Group}
+	}
+	next, err := s.appendTuples(name, tuples, true)
+	if err != nil {
+		var missing noTableError
+		if errors.As(err, &missing) {
+			writeError(w, http.StatusNotFound, err)
+			return
+		}
+		s.writeMutationError(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, tableInfo(name, next))
+}
+
+// noTableError rejects a mutation of a name the registry does not host.
+type noTableError struct{ name string }
+
+func (e noTableError) Error() string { return fmt.Sprintf("no table %q", e.name) }
+
+// appendTuples is the one append path, shared by the HTTP handler and
+// replication (ApplyAppend). It costs O(m log n) for m tuples on an
+// n-tuple table: the batch is checked against the entry's ledger (ids and
+// per-group running sums), logged when logIt is set on a durable server,
+// inserted into the dynamic index, and published as a successor table that
+// shares the predecessor's append-only storage. A batch that fails the
+// check, or the log, leaves the served state and the ledger untouched
+// (all-or-nothing); the ledger changes only once the record is durable.
+// Queries keep reading the old published snapshot throughout and never
+// delay the swap.
+func (s *Server) appendTuples(name string, tuples []probtopk.Tuple, logIt bool) (*tableState, error) {
+	logIt = logIt && s.durable != nil
 	// Lock order on a durable server: the table's shard durability mutex,
 	// then the entry's mutation lock — the same order the put path takes
 	// through reg.put, so the two can never deadlock (no path ever holds
@@ -344,73 +362,54 @@ func (s *Server) handleAppendTuples(w http.ResponseWriter, r *http.Request) {
 	// one (see the durMu comment in server.go). Appends to tables on
 	// different shards hold different mutexes entirely.
 	shard := s.shardOf(name)
-	if s.durable != nil {
+	if logIt {
 		s.durMu[shard].RLock()
 	}
 	e, old, ok := s.reg.acquireMutate(name)
 	if !ok {
-		if s.durable != nil {
+		if logIt {
 			s.durMu[shard].RUnlock()
 		}
-		writeError(w, http.StatusNotFound, fmt.Errorf("no table %q", name))
-		return
+		return nil, noTableError{name}
 	}
 	unlock := func() {
 		e.mu.Unlock()
-		if s.durable != nil {
+		if logIt {
 			s.durMu[shard].RUnlock()
 		}
 	}
-	// Append onto a clone and validate the whole candidate, so a bad batch
-	// leaves the served table untouched (all-or-nothing) and queries never
-	// observe a half-appended state. Only other mutations wait on the entry
-	// lock; in-flight queries keep reading the old published snapshot and
-	// never delay the swap.
-	candidate := old.tab.Clone()
-	appended := make([]probtopk.Tuple, 0, len(req.Tuples))
-	for _, tp := range req.Tuples {
-		appended = append(appended, probtopk.Tuple{ID: tp.ID, Score: tp.Score, Prob: tp.Prob, Group: tp.Group})
-		candidate.Add(appended[len(appended)-1])
-	}
-	if err := candidate.Validate(); err != nil {
+	if err := e.ledger.Check(tuples); err != nil {
 		unlock()
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := checkUniqueIDs(candidate); err != nil {
-		unlock()
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return nil, err
 	}
 	// Log the (validated) append before the swap: an acknowledged append
 	// is durable, a failed log leaves the served table untouched.
-	if s.durable != nil {
-		if err := s.durable.LogAppend(name, appended); err != nil {
+	if logIt {
+		if err := s.durable.LogAppend(name, tuples); err != nil {
 			unlock()
-			s.writeMutationError(w, &durabilityError{err})
-			return
+			return nil, &durabilityError{err}
 		}
 	}
-	next := &tableState{tab: candidate, snap: candidate.Snapshot()}
+	e.ledger.Commit(tuples)
+	tab := old.tab.Extend(tuples)
+	next := &tableState{tab: tab, snap: tab.Snapshot()}
 	// Extend the table's live dynamic index with the appended tuples —
 	// O(log n) each, wherever they land in the rank order — and attach its
-	// frozen view to the new snapshot, so the engine's next preparation
-	// re-derives only the rank suffix below the lowest insertion instead of
+	// frozen view to the new snapshot, so the engine prepares from the index
+	// (only the scanned rank prefix, for thresholded queries) instead of
 	// sorting the whole table. The index's sequence numbers follow arrival
 	// order, so its canonical tie-breaking is identical to Prepare's stable
 	// sort of the snapshot.
 	if e.idx != nil {
-		indexed := true
-		for _, tp := range appended {
+		for _, tp := range tuples {
 			if _, err := e.idx.Insert(tp); err != nil {
-				// Unreachable for a validated candidate; drop the (now
-				// partially updated) index rather than serve a divergent one.
+				// Unreachable for checked tuples; drop the (now partially
+				// updated) index rather than serve a divergent one.
 				e.idx = nil
-				indexed = false
 				break
 			}
 		}
-		if indexed {
+		if e.idx != nil {
 			next.snap.SetIndexView(e.idx.Freeze())
 		}
 	}
@@ -418,8 +417,10 @@ func (s *Server) handleAppendTuples(w http.ResponseWriter, r *http.Request) {
 	unlock()
 	s.cache.InvalidateTable(name) // reclaims the old snapshot's entries
 	s.engine.Invalidate(old.tab)
-	s.maybeCheckpoint()
-	writeJSON(w, http.StatusOK, tableInfo(name, next))
+	if logIt {
+		s.maybeCheckpoint()
+	}
+	return next, nil
 }
 
 // --- query endpoints ---

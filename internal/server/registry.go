@@ -16,9 +16,9 @@ import (
 const maxTableNameLen = 128
 
 // tableState is one published, immutable state of a hosted table: the table
-// value — never mutated after publication; appends build and publish a
-// fresh one — and its snapshot, whose process-unique identity stamps the
-// state for every cache above.
+// value — never mutated after publication; appends publish a successor that
+// shares its append-only storage (Table.Extend) — and its snapshot, whose
+// process-unique identity stamps the state for every cache above.
 type tableState struct {
 	tab  *probtopk.Table
 	snap *probtopk.Snapshot
@@ -41,18 +41,34 @@ type tableEntry struct {
 	// (defensive; validated tables always index cleanly), in which case
 	// queries fall back to the sort-based Prepare.
 	idx *uncertain.Index
+	// ledger is the published table's validation state (tuple ids and
+	// per-group probability sums), maintained under mu, so an append checks
+	// only its own tuples.
+	ledger *uncertain.Ledger
 }
 
-// newTableState publishes tab as an immutable state with a freshly built
-// dynamic index: the returned snapshot carries the index's frozen view.
-func newTableState(tab *probtopk.Table) (*tableState, *uncertain.Index) {
-	st := &tableState{tab: tab, snap: tab.Snapshot()}
-	idx, err := uncertain.NewIndexOf(tab.Tuples())
+// hostedTable is a validated table ready to install: its first published
+// state, its dynamic index and its ledger.
+type hostedTable struct {
+	st     *tableState
+	idx    *uncertain.Index
+	ledger *uncertain.Ledger
+}
+
+// newHostedTable validates tab — the data-model rules and unique ids — and
+// builds its published state with a fresh dynamic index: the snapshot
+// carries the index's frozen view.
+func newHostedTable(tab *probtopk.Table) (*hostedTable, error) {
+	ledger, err := uncertain.NewLedger(tab)
 	if err != nil {
-		return st, nil
+		return nil, err
 	}
-	st.snap.SetIndexView(idx.Freeze())
-	return st, idx
+	h := &hostedTable{st: &tableState{tab: tab, snap: tab.Snapshot()}, ledger: ledger}
+	if idx, err := uncertain.NewIndexOf(tab.Tuples()); err == nil {
+		h.st.snap.SetIndexView(idx.Freeze())
+		h.idx = idx
+	}
+	return h, nil
 }
 
 // registryShard is one slice of the name→table map with its own lock.
@@ -156,22 +172,22 @@ func (r *registry) acquireMutate(name string) (*tableEntry, *tableState, bool) {
 	}
 }
 
-// put installs the pre-built state (and its dynamic index) under name,
-// replacing any previous table. It returns the newly published state and the
-// replaced one (nil if the name is new, so the caller can release cache
-// entries derived from it). The state and index come from newTableState,
-// built by the caller outside the registry locks.
-func (r *registry) put(name string, st *tableState, idx *uncertain.Index) (published, replaced *tableState) {
+// put installs the pre-built table under name, replacing any previous
+// table. It returns the newly published state and the replaced one (nil if
+// the name is new, so the caller can release cache entries derived from
+// it). h comes from newHostedTable, built by the caller outside the
+// registry locks.
+func (r *registry) put(name string, h *hostedTable) (published, replaced *tableState) {
 	sh := r.shard(name)
 	for {
 		sh.mu.Lock()
 		e, ok := sh.tables[name]
 		if !ok {
-			e = &tableEntry{idx: idx}
-			e.state.Store(st)
+			e = &tableEntry{idx: h.idx, ledger: h.ledger}
+			e.state.Store(h.st)
 			sh.tables[name] = e
 			sh.mu.Unlock()
-			return st, nil
+			return h.st, nil
 		}
 		sh.mu.Unlock()
 		// Replace under the entry's mutation lock (serializing against
@@ -187,10 +203,10 @@ func (r *registry) put(name string, st *tableState, idx *uncertain.Index) (publi
 			continue
 		}
 		replaced = e.state.Load()
-		e.idx = idx
-		e.state.Store(st)
+		e.idx, e.ledger = h.idx, h.ledger
+		e.state.Store(h.st)
 		e.mu.Unlock()
-		return st, replaced
+		return h.st, replaced
 	}
 }
 

@@ -60,50 +60,15 @@ func (s *Server) ApplyPut(name string, tuples []probtopk.Tuple) error {
 	return err
 }
 
-// ApplyAppend applies a replicated append record: clone, validate, publish,
-// exactly like the HTTP append path minus logging and the durability mutex
-// (the follower has no WAL to order against; per-table order comes from the
-// entry lock, and the replication stream is single-threaded per shard
-// anyway). An append that does not validate against the local state means
-// the follower has diverged — the caller treats the error as "resync".
+// ApplyAppend applies a replicated append record through the HTTP path's
+// appendTuples, minus logging and the durability mutex (the follower has
+// no WAL to order against; per-table order comes from the entry lock, and
+// the replication stream is single-threaded per shard anyway). An append
+// that does not validate against the local state means the follower has
+// diverged — the caller treats the error as "resync".
 func (s *Server) ApplyAppend(name string, tuples []probtopk.Tuple) error {
-	e, old, ok := s.reg.acquireMutate(name)
-	if !ok {
-		return fmt.Errorf("append to unknown table %q", name)
-	}
-	candidate := old.tab.Clone()
-	for _, tp := range tuples {
-		candidate.Add(tp)
-	}
-	if err := candidate.Validate(); err != nil {
-		e.mu.Unlock()
-		return err
-	}
-	if err := checkUniqueIDs(candidate); err != nil {
-		e.mu.Unlock()
-		return err
-	}
-	next := &tableState{tab: candidate, snap: candidate.Snapshot()}
-	if e.idx != nil {
-		indexed := true
-		for _, tp := range tuples {
-			if _, err := e.idx.Insert(tp); err != nil {
-				// Unreachable for a validated candidate; drop the (now
-				// partially updated) index rather than serve a divergent one.
-				e.idx = nil
-				indexed = false
-				break
-			}
-		}
-		if indexed {
-			next.snap.SetIndexView(e.idx.Freeze())
-		}
-	}
-	e.state.Store(next)
-	e.mu.Unlock()
-	s.cache.InvalidateTable(name)
-	s.engine.Invalidate(old.tab)
-	return nil
+	_, err := s.appendTuples(name, tuples, false)
+	return err
 }
 
 // ApplyDelete applies a replicated delete record (or a shard reset's

@@ -83,9 +83,27 @@ func TestApplyAppendValidates(t *testing.T) {
 	if err := s.ApplyAppend("s", []probtopk.Tuple{{ID: "T3", Score: 3, Prob: 0.9, Group: "g"}}); err == nil {
 		t.Fatalf("ApplyAppend accepted group mass > 1")
 	}
+	// Batches that fail only as a whole (T1+T2 leave g at 0.9).
+	for _, bad := range [][]probtopk.Tuple{
+		{{ID: "T4", Score: 4, Prob: 0.1}, {ID: "T4", Score: 5, Prob: 0.1}},                           // duplicate id within the batch
+		{{ID: "T4", Score: 4, Prob: 0.06, Group: "g"}, {ID: "T5", Score: 5, Prob: 0.06, Group: "g"}}, // group overflows only together
+		{{ID: "T4", Score: 4, Prob: 0.1}, {ID: "T5", Score: 5, Prob: 1.5}},                           // last tuple bad
+	} {
+		if err := s.ApplyAppend("s", bad); err == nil {
+			t.Fatalf("ApplyAppend accepted %+v", bad)
+		}
+	}
 	body := mustStatus(t, do(t, s, "GET", "/tables/s", ""), http.StatusOK)
 	if !strings.Contains(body, `"tuples":2`) {
 		t.Fatalf("failed appends leaked state: %s", body)
+	}
+	// The failed batches left the ids and group mass they carried free.
+	if err := s.ApplyAppend("s", []probtopk.Tuple{{ID: "T4", Score: 4, Prob: 0.06, Group: "g"}, {ID: "T5", Score: 5, Prob: 0.5}}); err != nil {
+		t.Fatalf("retried ApplyAppend: %v", err)
+	}
+	body = mustStatus(t, do(t, s, "GET", "/tables/s", ""), http.StatusOK)
+	if !strings.Contains(body, `"tuples":4`) {
+		t.Fatalf("retried append: %s", body)
 	}
 }
 

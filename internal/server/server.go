@@ -32,9 +32,9 @@
 // lock-free against frozen contents, so a slow query never delays an
 // append, an append never waits behind queries, and a query always answers
 // against exactly the state it started from (never a half-mutated one).
-// Mutations build the successor state on a clone and publish it with one
-// atomic swap; only mutations of the same table serialize against each
-// other.
+// An append checks only its own tuples, builds the successor state on the
+// predecessor's append-only storage and publishes it with one atomic swap;
+// only mutations of the same table serialize against each other.
 //
 // # Derived-answer cache
 //
@@ -72,7 +72,7 @@
 // and the engine's prepared cache is split into N partitions of its own,
 // routed by table identity — a different key, so a cache partition does
 // not correspond to a registry shard. A mutation holds only its own
-// shard's durability mutex across clone+validate+log+publish, so durable
+// shard's durability mutex across check+log+publish, so durable
 // mutations of tables on different shards never serialize against each
 // other; a checkpoint visits shards one at a time and writes the snapshot
 // file with no mutation lock held. Queries hold no lock at any shard
@@ -410,6 +410,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			SuffixRebuilds: eng.IndexSuffixRebuilds,
 			FullRebuilds:   eng.IndexFullRebuilds,
 			ViewRebuilds:   eng.IndexViewRebuilds,
+			PrefixBuilds:   eng.IndexPrefixBuilds,
 		},
 		CachedQueries:    s.cached.json(),
 		ComputedQueries:  s.computed.json(),

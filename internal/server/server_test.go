@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"probtopk"
 )
 
 // soldierJSON is the paper's running example (Example 1, Figure 1) as an
@@ -323,6 +325,9 @@ func TestEndpointErrors(t *testing.T) {
 		{"append duplicate of existing", "POST", "/tables/s/tuples", `{"tuples": [{"id": "T1", "score": 1, "prob": 0.5}]}`, 400},
 		{"append bad prob", "POST", "/tables/s/tuples", `{"tuples": [{"id": "T9", "score": 1, "prob": 7}]}`, 400},
 		{"append overflowing group", "POST", "/tables/s/tuples", `{"tuples": [{"id": "T9", "score": 1, "prob": 0.9, "group": "soldier2"}]}`, 400},
+		{"append duplicate within batch", "POST", "/tables/s/tuples", `{"tuples": [{"id": "T9", "score": 1, "prob": 0.5}, {"id": "T9", "score": 2, "prob": 0.5}]}`, 400},
+		{"append overflowing group together", "POST", "/tables/s/tuples", `{"tuples": [{"id": "T9", "score": 1, "prob": 0.06, "group": "soldier3"}, {"id": "T10", "score": 2, "prob": 0.06, "group": "soldier3"}]}`, 400},
+		{"append bad last tuple", "POST", "/tables/s/tuples", `{"tuples": [{"id": "T9", "score": 1, "prob": 0.5}, {"id": "T10", "score": 2, "prob": 0}]}`, 400},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -351,6 +356,15 @@ func TestEndpointErrors(t *testing.T) {
 	}
 	if info.Tuples != 7 {
 		t.Fatalf("table mutated by failed requests: %+v", info)
+	}
+	// ...nor the append state: the ids and group mass the failed batches
+	// carried are still free.
+	retry := `{"tuples": [{"id": "T9", "score": 1, "prob": 0.06, "group": "soldier3"}, {"id": "T10", "score": 2, "prob": 0.5}]}`
+	if err := json.Unmarshal([]byte(mustStatus(t, do(t, s, "POST", "/tables/s/tuples", retry), http.StatusOK)), &info); err != nil {
+		t.Fatal(err)
+	}
+	if info.Tuples != 9 {
+		t.Fatalf("retried append: %+v", info)
 	}
 }
 
@@ -579,5 +593,71 @@ func TestAppendReusesDynamicIndex(t *testing.T) {
 	want := mustStatus(t, do(t, oracle, "POST", "/tables/s/topk", query), http.StatusOK)
 	if got != want {
 		t.Fatalf("append-path answer differs from whole-upload answer:\n%s\nvs\n%s", got, want)
+	}
+}
+
+// TestThresholdedReadAfterAppendScansPrefix: after an append, thresholded
+// /topk, /topk/batch and /typical reads prepare only the rank prefix their
+// Theorem-2 scans reach (the prefixBuilds counter moves), and answer
+// byte-identically to the same queries over the whole prepared form of a
+// snapshot without an index view.
+func TestThresholdedReadAfterAppendScansPrefix(t *testing.T) {
+	var tuples []probtopk.Tuple
+	var body strings.Builder
+	body.WriteString(`{"tuples": [`)
+	for i := 0; i < 300; i++ {
+		tp := probtopk.Tuple{ID: fmt.Sprintf("t%d", i), Score: float64(i % 40), Prob: []float64{1, 0.5, 0.3}[i%3]}
+		if i%7 == 0 {
+			// Groups of mass exactly 1 whose two members rank far apart.
+			tp.Group, tp.Prob = fmt.Sprintf("g%d", i/28), 0.25
+		}
+		tuples = append(tuples, tp)
+		if i > 0 {
+			body.WriteString(",")
+		}
+		fmt.Fprintf(&body, `{"id": %q, "score": %v, "prob": %v, "group": %q}`, tp.ID, tp.Score, tp.Prob, tp.Group)
+	}
+	body.WriteString("]}")
+	s := New(Config{})
+	mustStatus(t, do(t, s, "PUT", "/tables/big", body.String()), http.StatusCreated)
+	extra := probtopk.Tuple{ID: "new", Score: 39, Prob: 0.5}
+	mustStatus(t, do(t, s, "POST", "/tables/big/tuples", `{"tuples": [{"id": "new", "score": 39, "prob": 0.5}]}`), http.StatusOK)
+	tuples = append(tuples, extra)
+
+	// Each read's scan reaches deeper than the last, so none can reuse the
+	// previous read's memoized prefix.
+	for _, tc := range []struct {
+		kind queryKind
+		path string
+		body string
+	}{
+		{kindTopK, "/tables/big/topk", `{"k": 3, "threshold": 0.01}`},
+		{kindTypical, "/tables/big/typical", `{"k": 4, "c": 3, "threshold": 0.002}`},
+		{kindBatch, "/tables/big/topk/batch", `{"queries": [{"k": 1, "threshold": 0.05}, {"k": 6, "threshold": 0.001}]}`},
+	} {
+		before := getStats(t, s).DynamicIndex.PrefixBuilds
+		got := mustStatus(t, do(t, s, "POST", tc.path, tc.body), http.StatusOK)
+		if after := getStats(t, s).DynamicIndex.PrefixBuilds; after <= before {
+			t.Fatalf("%s: read did not build a prefix (prefixBuilds %d -> %d)", tc.path, before, after)
+		}
+		q, err := decodeQueryJSON([]byte(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rq, err := q.resolve(tc.kind, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := s.compute(probtopk.NewSnapshot(tuples), rq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.TrimSpace(got) != string(want) {
+			t.Fatalf("%s: prefix answer differs from the whole form's:\n%s\nvs\n%s", tc.path, got, want)
+		}
 	}
 }

@@ -137,6 +137,26 @@ func TestGroupMassReleasedOnEviction(t *testing.T) {
 	}
 }
 
+// TestOverfullGroupBelowScanDepthErrors: a thresholded query scans only a
+// rank prefix, but an overfull in-window group must fail it even when the
+// member that overfills the group ranks far below the scan depth — both on
+// the window's own query path and when freezing the window for an engine.
+func TestOverfullGroupBelowScanDepthErrors(t *testing.T) {
+	w, _ := NewWindow(64)
+	w.Push(uncertain.Tuple{ID: "top", Group: "g", Score: 100, Prob: 0.7})
+	for i := 0; i < 50; i++ {
+		w.Push(uncertain.Tuple{ID: fmt.Sprintf("t%d", i), Score: float64(50 - i), Prob: 1})
+	}
+	w.Push(uncertain.Tuple{ID: "bottom", Group: "g", Score: -1, Prob: 0.6})
+	params := core.Params{TrackVectors: true, Threshold: 0.01, MaxLines: 200}
+	if _, err := w.TopK(1, params); err == nil {
+		t.Fatal("overfull group below the scan depth passed the windowed query")
+	}
+	if _, err := w.Freeze(); err == nil {
+		t.Fatal("overfull group below the scan depth passed Freeze")
+	}
+}
+
 // TestSlidingCrossCheck: at every step of a random stream, the windowed
 // distribution equals the oracle over the current window contents.
 func TestSlidingCrossCheck(t *testing.T) {

@@ -241,6 +241,43 @@ func appendFrom(n *inode, skip int, buf []Tuple) []Tuple {
 	}
 }
 
+// appendFirst appends the first count tuples in canonical order, stepping
+// over the rest: O(count + log n).
+func appendFirst(n *inode, count int, buf []Tuple) []Tuple {
+	if n == nil || count <= 0 {
+		return buf
+	}
+	ls := sz(n.left)
+	if count <= ls {
+		return appendFirst(n.left, count, buf)
+	}
+	buf = appendNodes(n.left, buf)
+	buf = append(buf, n.t)
+	return appendFirst(n.right, count-ls-1, buf)
+}
+
+// rankReaching returns the first rank whose prefix mass — the total
+// probability of the ranks above it — reaches target, if such a rank
+// exists.
+func rankReaching(n *inode, target float64) (int, bool) {
+	total := sz(n)
+	rank := 0
+	var m float64
+	for m < target {
+		if n == nil {
+			return 0, false
+		}
+		if m+ms(n.left) >= target {
+			n = n.left
+			continue
+		}
+		m += ms(n.left) + n.t.Prob
+		rank += sz(n.left) + 1
+		n = n.right
+	}
+	return rank, rank < total
+}
+
 // IndexStats counts how an Index's mutations and materializations resolved,
 // for observability of the dynamic-index win in production.
 type IndexStats struct {
@@ -261,12 +298,16 @@ type IndexStats struct {
 	// materialized their own Prepared (view published before the owner
 	// materialized). Tracked in the process-wide totals only.
 	ViewMaterializations uint64
+	// PrefixMaterializations is the number of rank prefixes frozen views
+	// built for thresholded scans instead of the whole Prepared form (see
+	// IndexView.MaterializePrefix). Tracked in the process-wide totals only.
+	PrefixMaterializations uint64
 }
 
 // indexTotals aggregates IndexStats across every Index in the process, so
 // serving layers can surface the counters without tracking index ownership.
 var indexTotals struct {
-	mutations, memoHits, suffixMat, fullMat, viewMat atomic.Uint64
+	mutations, memoHits, suffixMat, fullMat, viewMat, prefixMat atomic.Uint64
 }
 
 // IndexTotals returns the process-wide IndexStats aggregated over all
@@ -278,6 +319,7 @@ func IndexTotals() IndexStats {
 		SuffixMaterializations: indexTotals.suffixMat.Load(),
 		FullMaterializations:   indexTotals.fullMat.Load(),
 		ViewMaterializations:   indexTotals.viewMat.Load(),
+		PrefixMaterializations: indexTotals.prefixMat.Load(),
 	}
 }
 
@@ -324,6 +366,10 @@ type Index struct {
 	lastView       *IndexView
 	dirtySinceView int
 
+	// unbounded counts the groups whose mass provablyBounded cannot vouch
+	// for; while it is zero, frozen views may serve rank prefixes.
+	unbounded int
+
 	stats IndexStats
 }
 
@@ -356,9 +402,9 @@ func (ix *Index) Len() int { return sz(ix.root) }
 // index's identity it keys caches of materialized state.
 func (ix *Index) Gen() uint64 { return ix.gen }
 
-// Stats returns the index's maintenance counters. ViewMaterializations is
-// always 0 here: views outlive their owner and report to the process-wide
-// IndexTotals instead.
+// Stats returns the index's maintenance counters. ViewMaterializations and
+// PrefixMaterializations are always 0 here: views outlive their owner and
+// report to the process-wide IndexTotals instead.
 func (ix *Index) Stats() IndexStats { return ix.stats }
 
 // markDirty records that ranks at or beyond pos changed.
@@ -413,7 +459,8 @@ func (ix *Index) insert(t Tuple, seq uint64) (int, error) {
 	var rank int
 	ix.root, rank = treapInsert(ix.root, t, seq)
 	if t.Group != "" {
-		ix.groups[t.Group], _ = treapInsert(ix.groups[t.Group], t, seq)
+		g, _ := treapInsert(ix.groups[t.Group], t, seq)
+		ix.setGroup(t.Group, g)
 	}
 	ix.bySeq[seq] = t
 	return rank, nil
@@ -438,14 +485,35 @@ func (ix *Index) remove(t Tuple, seq uint64) int {
 	ix.root, rank = treapDelete(ix.root, t, seq)
 	if t.Group != "" {
 		g, _ := treapDelete(ix.groups[t.Group], t, seq)
-		if g == nil {
-			delete(ix.groups, t.Group)
-		} else {
-			ix.groups[t.Group] = g
-		}
+		ix.setGroup(t.Group, g)
 	}
 	delete(ix.bySeq, seq)
 	return rank
+}
+
+// setGroup installs root as the named group's sub-treap (nil drops the
+// group), keeping the count of groups not provably within the mass bound.
+func (ix *Index) setGroup(group string, root *inode) {
+	if old := ix.groups[group]; old != nil && !provablyBounded(old) {
+		ix.unbounded--
+	}
+	if root == nil {
+		delete(ix.groups, group)
+		return
+	}
+	ix.groups[group] = root
+	if !provablyBounded(root) {
+		ix.unbounded++
+	}
+}
+
+// provablyBounded reports whether a group's probabilities sum to at most
+// 1+probSumTolerance in every summation order, so that validateSorted can
+// never reject it. The sub-treap's aggregate sums in tree order; any two
+// orders of g non-negative terms differ by less than g·2⁻⁵¹ of their sum,
+// which the margin covers with room to spare.
+func provablyBounded(group *inode) bool {
+	return ms(group)*(1+float64(sz(group))*0x1p-49) <= 1+probSumTolerance
 }
 
 // Update replaces the tuple identified by seq with t, keeping its sequence
@@ -584,7 +652,7 @@ func (ix *Index) Freeze() *IndexView {
 		return ix.frozen
 	}
 	ix.adopt()
-	v := &IndexView{n: sz(ix.root), gen: ix.gen}
+	v := &IndexView{n: sz(ix.root), gen: ix.gen, bounded: ix.unbounded == 0}
 	if ix.prep != nil && ix.dirtyFrom < 0 {
 		v.prep = ix.prep
 	} else {
@@ -634,6 +702,12 @@ type IndexView struct {
 	root *inode
 	n    int
 	gen  uint64
+	// bounded reports that every ME group was provably within its mass
+	// bound at freeze time, which MaterializePrefix needs: a prefix cannot
+	// see the members that would make a group overfull.
+	bounded bool
+	// prefix memoizes the longest rank prefix MaterializePrefix has built.
+	prefix atomic.Pointer[Prepared]
 
 	// hintPrep/hintFrom carry the owner's last materialized Prepared and the
 	// first rank that has changed since, so the view's own materialization
@@ -675,6 +749,59 @@ func (v *IndexView) Materialize() (*Prepared, error) {
 		v.done.Store(true)
 	})
 	return v.prep, v.err
+}
+
+// MaterializePrefix returns a Prepared form for a Theorem-2 scan that stops
+// once μ reaches bound (core.Bound): the shortest rank prefix that reaches
+// prefix mass bound+1+probSumTolerance at some rank i* and ends with i*'s
+// tie group. μ at i* is at least that prefix mass minus the mass of i*'s
+// group, which is at most 1+probSumTolerance, so the scan stops by i*. If
+// the view has already materialized its whole form, that is returned
+// instead. nil means no prefix can serve the scan — a group not provably
+// within its mass bound (the whole form must report it), too little mass,
+// or a prefix spanning the whole table — and the caller needs Materialize.
+//
+// Over its ranks the prefix has the whole form's positions, group ids, lead
+// flags, prefix sums, group prefix masses and tie ranges, since each
+// depends only on the ranks above. i* is found from tree aggregates, whose
+// sums may differ from the scan's running sums in the last bits, so callers
+// must confirm that the stop falls strictly inside the prefix before using
+// it (core.StopRank).
+//
+// A prefix of D ranks costs O(D + log n). It is memoized on the view, and a
+// longer memoized prefix is reused.
+func (v *IndexView) MaterializePrefix(bound float64) *Prepared {
+	if p := v.Ready(); p != nil {
+		return p
+	}
+	if v.root == nil || !v.bounded {
+		return nil
+	}
+	last, ok := rankReaching(v.root, bound+1+probSumTolerance)
+	if !ok {
+		return nil
+	}
+	d := countScore(v.root, nodeAt(v.root, last).t.Score, true)
+	if d >= v.n {
+		return nil
+	}
+	if p := v.prefix.Load(); p != nil && p.Len() >= d {
+		return p
+	}
+	p, err := PrepareSorted(appendFirst(v.root, d, make([]Tuple, 0, d)), nil, 0)
+	if err != nil {
+		return nil
+	}
+	indexTotals.prefixMat.Add(1)
+	for {
+		cur := v.prefix.Load()
+		if cur != nil && cur.Len() >= d {
+			return cur
+		}
+		if v.prefix.CompareAndSwap(cur, p) {
+			return p
+		}
+	}
 }
 
 // Ready returns the view's Prepared form if Materialize has already completed

@@ -76,6 +76,7 @@ func FuzzDynamicIndex(f *testing.F) {
 			if (werr == nil) != (gerr == nil) {
 				t.Fatalf("after op %d: oracle err %v, index err %v", i/2, werr, gerr)
 			}
+			checkPrefixes(t, i/2, ix, want)
 			if werr != nil {
 				continue
 			}

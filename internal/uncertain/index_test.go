@@ -123,6 +123,82 @@ func checkTreeAccessors(t *testing.T, step int, ix *Index, want *Prepared, mirro
 	}
 }
 
+// checkPrefixes checks IndexView.MaterializePrefix on an unmaterialized view
+// of ix's current contents against the oracle want (nil when the contents
+// are invalid). An invalid index must refuse every prefix, so the whole
+// form reports the error. Otherwise, for a spread of scan bounds, a prefix
+// must end a tie group, be the shortest such prefix reaching mass
+// bound+1+tolerance, and agree with the oracle over its ranks on rows,
+// group ids, lead flags, PrefixProbability, PrefixMass and TieGroup.
+func checkPrefixes(t *testing.T, step int, ix *Index, want *Prepared) {
+	t.Helper()
+	unbounded := 0
+	for _, g := range ix.groups {
+		if !provablyBounded(g) {
+			unbounded++
+		}
+	}
+	if unbounded != ix.unbounded {
+		t.Fatalf("step %d: index counts %d unbounded groups, recount %d", step, ix.unbounded, unbounded)
+	}
+	view := func() *IndexView {
+		return &IndexView{root: ix.root, n: ix.Len(), gen: ix.gen, bounded: ix.unbounded == 0}
+	}
+	if want == nil {
+		if p := view().MaterializePrefix(0); p != nil {
+			t.Fatalf("step %d: invalid contents served a %d-rank prefix", step, p.Len())
+		}
+		return
+	}
+	const slack = 1e-9 // tree aggregates against the oracle's running sums
+	total := want.PrefixProbability(want.Len())
+	for _, bound := range []float64{0, 0.5, 2, total / 3, total/2 - 1, total - 2} {
+		v := view()
+		p := v.MaterializePrefix(bound)
+		if p == nil {
+			continue
+		}
+		d := p.Len()
+		if d >= want.Len() {
+			t.Fatalf("step %d: bound %v: prefix of %d ranks spans the %d-tuple table", step, bound, d, want.Len())
+		}
+		if want.Tuples[d].Score == want.Tuples[d-1].Score {
+			t.Fatalf("step %d: bound %v: prefix of %d ranks splits a tie group", step, bound, d)
+		}
+		target := bound + 1 + probSumTolerance
+		start, _ := want.TieGroup(d - 1)
+		if want.PrefixProbability(d-1) < target-slack || (start > 0 && want.PrefixProbability(start-1) >= target+slack) {
+			t.Fatalf("step %d: bound %v: %d ranks is not the shortest prefix reaching mass %v", step, bound, d, target)
+		}
+		for i := 0; i < d; i++ {
+			g, w := p.Tuples[i], want.Tuples[i]
+			if g.ID != w.ID || g.Score != w.Score || g.Prob != w.Prob || g.Group != w.Group || g.Lead != w.Lead {
+				t.Fatalf("step %d: bound %v: prefix position %d: got %+v, oracle %+v", step, bound, i, g, w)
+			}
+			if gs, ge := p.TieGroup(i); [2]int{gs, ge} != [2]int{want.tieStart[i], want.tieEnd[i]} {
+				t.Fatalf("step %d: bound %v: prefix tie group at %d = [%d,%d), oracle [%d,%d)",
+					step, bound, i, gs, ge, want.tieStart[i], want.tieEnd[i])
+			}
+		}
+		for i := 0; i <= d; i++ {
+			if p.PrefixProbability(i) != want.PrefixProbability(i) {
+				t.Fatalf("step %d: bound %v: prefix cumProb[%d] = %v, oracle %v",
+					step, bound, i, p.PrefixProbability(i), want.PrefixProbability(i))
+			}
+			for g := 0; g < p.NumGroups(); g++ {
+				if p.PrefixMass(g, i) != want.PrefixMass(g, i) {
+					t.Fatalf("step %d: bound %v: prefix PrefixMass(%d, %d) = %v, oracle %v",
+						step, bound, g, i, p.PrefixMass(g, i), want.PrefixMass(g, i))
+				}
+			}
+		}
+		// A smaller bound needs no more ranks: the memo serves it.
+		if again := v.MaterializePrefix(bound - 1); again != p {
+			t.Fatalf("step %d: bound %v: prefix not memoized", step, bound)
+		}
+	}
+}
+
 // mirrorByRank reorders the mirror entries into the oracle's prepared order
 // (the oracle's Orig is the mirror index).
 func mirrorByRank(want *Prepared, mirror []mirrorEntry) []mirrorEntry {
@@ -206,6 +282,7 @@ func TestDynamicIndexDifferential(t *testing.T) {
 		if (werr == nil) != (gerr == nil) {
 			t.Fatalf("step %d: oracle err %v, index err %v", step, werr, gerr)
 		}
+		checkPrefixes(t, step, ix, want)
 		if werr != nil {
 			continue // overfull in-window group: both sides agree it's invalid
 		}

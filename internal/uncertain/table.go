@@ -52,6 +52,9 @@ type Table struct {
 	// hand out the same snapshot, mutations clear the memo so the next
 	// Snapshot call lazily mints a fresh one (copy-on-write).
 	snap atomic.Pointer[Snapshot]
+	// extended reports that a successor built by Extend owns the storage
+	// past len(tuples), so this table must copy before it appends again.
+	extended atomic.Bool
 }
 
 // NewTable returns an empty table.
@@ -59,6 +62,12 @@ func NewTable() *Table { return &Table{} }
 
 // Add appends a tuple. Returns the table for chaining.
 func (t *Table) Add(tp Tuple) *Table {
+	if t.extended.Load() {
+		// Clamping the capacity makes append copy, leaving the successor's
+		// tuples in the shared storage untouched.
+		t.tuples = t.tuples[:len(t.tuples):len(t.tuples)]
+		t.extended.Store(false)
+	}
 	t.tuples = append(t.tuples, tp)
 	t.version++
 	t.snap.Store(nil)
@@ -145,6 +154,24 @@ func (t *Table) Clone() *Table {
 	return c
 }
 
+// Extend returns a successor table holding t's tuples followed by tps, with
+// its own identity, as Clone followed by one Add per tuple would — but
+// without copying t's tuples. The successor shares t's append-only storage
+// and writes only past t's length, which neither t nor any snapshot of t
+// can see, so t stays valid and unchanged for its concurrent readers. Only
+// the first successor of t extends the storage in place; a second Extend of
+// t, or a later Add to t, copies first. Costs O(len(tps)), amortized.
+//
+// Extend reads t like Snapshot does; it must not run concurrently with a
+// mutation of t.
+func (t *Table) Extend(tps []Tuple) *Table {
+	base := t.tuples
+	if !t.extended.CompareAndSwap(false, true) {
+		base = base[:len(base):len(base)]
+	}
+	return &Table{tuples: append(base, tps...), version: t.version + uint64(len(tps))}
+}
+
 // CheckTuple validates one tuple's own invariants — finite score,
 // probability in (0, 1] — independent of any group-mass constraint. It is
 // the single per-tuple rule shared by Validate, PrepareSorted and the
@@ -163,6 +190,13 @@ func CheckTuple(tp Tuple) error {
 // checkGroupSums validates that each ME group's probabilities sum to at
 // most 1.
 func checkGroupSums(tuples []Tuple) error {
+	_, err := groupSums(tuples)
+	return err
+}
+
+// groupSums sums each ME group's probabilities in slice order and checks
+// every sum against the bound, returning the sums.
+func groupSums(tuples []Tuple) (map[string]float64, error) {
 	sums := make(map[string]float64)
 	for _, tp := range tuples {
 		if tp.Group != "" {
@@ -170,11 +204,97 @@ func checkGroupSums(tuples []Tuple) error {
 		}
 	}
 	for g, s := range sums {
-		if s > 1+probSumTolerance {
-			return fmt.Errorf("uncertain: ME group %q has total probability %v > 1", g, s)
+		if err := checkGroupSum(g, s); err != nil {
+			return nil, err
 		}
 	}
+	return sums, nil
+}
+
+func checkGroupSum(group string, sum float64) error {
+	if sum > 1+probSumTolerance {
+		return fmt.Errorf("uncertain: ME group %q has total probability %v > 1", group, sum)
+	}
 	return nil
+}
+
+// Ledger is the validation state of an append-only table with unique tuple
+// ids: the id set and each ME group's probability sum. Checking an append
+// against it touches only the appended tuples, yet gives the verdict — and
+// the error — that Validate plus an id-uniqueness check would give on the
+// extended table, because each running sum adds the same probabilities in
+// the same insertion order as Validate does, so it is bit-identical. A
+// Ledger is not safe for concurrent use.
+type Ledger struct {
+	n    int
+	ids  map[string]struct{}
+	sums map[string]float64
+}
+
+// NewLedger validates t — Validate's rules, then unique ids — and returns
+// its ledger. It makes the same passes over the tuples as those two checks,
+// so building it costs nothing extra.
+func NewLedger(t *Table) (*Ledger, error) {
+	tuples := t.tuples
+	sums, err := validatedSums(tuples)
+	if err != nil {
+		return nil, err
+	}
+	ids := make(map[string]struct{}, len(tuples))
+	for _, tp := range tuples {
+		if _, dup := ids[tp.ID]; dup {
+			return nil, fmt.Errorf("duplicate tuple id %q", tp.ID)
+		}
+		ids[tp.ID] = struct{}{}
+	}
+	return &Ledger{n: len(tuples), ids: ids, sums: sums}, nil
+}
+
+// Check validates appending tps to the ledger's table, in O(len(tps)),
+// leaving the ledger unchanged. Errors come in NewLedger's order: a bad
+// tuple first, then an overfull group, then a duplicate id.
+func (l *Ledger) Check(tps []Tuple) error {
+	for i, tp := range tps {
+		if err := CheckTuple(tp); err != nil {
+			return fmt.Errorf("uncertain: at index %d: %w", l.n+i, err)
+		}
+	}
+	sums := make(map[string]float64)
+	for _, tp := range tps {
+		if tp.Group == "" {
+			continue
+		}
+		s, ok := sums[tp.Group]
+		if !ok {
+			s = l.sums[tp.Group]
+		}
+		sums[tp.Group] = s + tp.Prob
+	}
+	for g, s := range sums {
+		if err := checkGroupSum(g, s); err != nil {
+			return err
+		}
+	}
+	batch := make(map[string]struct{}, len(tps))
+	for _, tp := range tps {
+		_, dup := l.ids[tp.ID]
+		if _, again := batch[tp.ID]; dup || again {
+			return fmt.Errorf("duplicate tuple id %q", tp.ID)
+		}
+		batch[tp.ID] = struct{}{}
+	}
+	return nil
+}
+
+// Commit records tps as appended. Call it only with tuples Check accepted.
+func (l *Ledger) Commit(tps []Tuple) {
+	for _, tp := range tps {
+		if tp.Group != "" {
+			l.sums[tp.Group] += tp.Prob
+		}
+		l.ids[tp.ID] = struct{}{}
+	}
+	l.n += len(tps)
 }
 
 // ValidateTuples checks the data-model invariants on a raw tuple slice —
@@ -186,12 +306,19 @@ func ValidateTuples(tuples []Tuple) error { return validateTuples(tuples) }
 // validateTuples checks the data-model invariants on a tuple slice; shared
 // by Table.Validate and Snapshot.Validate.
 func validateTuples(tuples []Tuple) error {
+	_, err := validatedSums(tuples)
+	return err
+}
+
+// validatedSums is validateTuples returning each ME group's probability
+// sum, accumulated in slice order.
+func validatedSums(tuples []Tuple) (map[string]float64, error) {
 	for i, tp := range tuples {
 		if err := CheckTuple(tp); err != nil {
-			return fmt.Errorf("uncertain: at index %d: %w", i, err)
+			return nil, fmt.Errorf("uncertain: at index %d: %w", i, err)
 		}
 	}
-	return checkGroupSums(tuples)
+	return groupSums(tuples)
 }
 
 // Validate checks the data-model invariants: every probability is in (0, 1],
