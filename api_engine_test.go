@@ -115,33 +115,34 @@ func TestStreamAlgorithmHonored(t *testing.T) {
 	}
 }
 
-// TestEngineCachedMatchesUncached: the caching engine returns results
-// bit-identical to a cache-disabled engine, and actually hits its cache.
+// TestEngineCachedMatchesUncached: queries over a table's memoized
+// snapshot return results bit-identical to a fresh, unprepared snapshot of
+// the same tuples on every repeat, and the repeats share one prepared form.
 func TestEngineCachedMatchesUncached(t *testing.T) {
-	cached := probtopk.NewEngine()
-	uncached := probtopk.NewEngineWithCache(0)
+	e := probtopk.NewEngine()
 	tab := fixtures.Soldier()
 	for i := 0; i < 5; i++ {
-		a, err := cached.TopKDistribution(tab, 2, nil)
+		a, err := e.TopKDistribution(tab, 2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := uncached.TopKDistribution(tab, 2, nil)
+		b, err := e.TopKDistributionSnapshot(probtopk.NewSnapshot(tab.Tuples()), 2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameLines(t, "cached vs uncached", a, b)
+		sameLines(t, "memoized vs fresh snapshot", a, b)
 	}
-	if s := cached.CacheStats(); s.Hits != 4 || s.Misses != 1 {
-		t.Fatalf("cached stats = %+v, want 4 hits / 1 miss", s)
+	p1, err := tab.Snapshot().Prepare()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s := uncached.CacheStats(); s.Hits != 0 {
-		t.Fatalf("uncached stats = %+v, want 0 hits", s)
+	if p2, _ := tab.Snapshot().Prepare(); p2 != p1 {
+		t.Fatal("an unchanged table's snapshot prepared twice")
 	}
 
-	// Mutation invalidates: the result reflects the new table contents.
+	// Mutation mints a fresh snapshot: the result reflects the new contents.
 	tab.AddIndependent("XL", 1000, 1)
-	d, err := cached.TopKDistribution(tab, 1, probtopk.Exact())
+	d, err := e.TopKDistribution(tab, 1, probtopk.Exact())
 	if err != nil {
 		t.Fatal(err)
 	}

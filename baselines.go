@@ -6,9 +6,9 @@ import (
 	"probtopk/internal/uncertain"
 )
 
-// The baseline semantics below are Engine methods sharing the engine's
-// prepared-table cache: computing several of them over the same table — the
-// typical comparison workload — prepares it once. The package-level
+// The baseline semantics below are Engine methods sharing the snapshot's
+// memoized prepared form: computing several of them over the same table —
+// the typical comparison workload — prepares it once. The package-level
 // functions delegate to the shared default engine.
 
 // UTopK computes the U-Topk answer [Soliman, Ilyas, Chang]: the top-k tuple
@@ -17,7 +17,7 @@ import (
 // callers already holding a Distribution should prefer.
 func UTopK(t *Table, k int) (Line, error) { return defaultEngine.UTopK(t, k) }
 
-// UTopK computes the U-Topk answer with this engine's cache; see the
+// UTopK computes the U-Topk answer through this engine; see the
 // package-level UTopK.
 func (e *Engine) UTopK(t *Table, k int) (Line, error) {
 	if t == nil {
@@ -63,7 +63,7 @@ type RankedTuple struct {
 // co-exist.
 func UKRanks(t *Table, k int) ([]RankedTuple, error) { return defaultEngine.UKRanks(t, k) }
 
-// UKRanks computes the U-kRanks answer with this engine's cache; see the
+// UKRanks computes the U-kRanks answer through this engine; see the
 // package-level UKRanks.
 func (e *Engine) UKRanks(t *Table, k int) ([]RankedTuple, error) {
 	if t == nil {
@@ -111,8 +111,8 @@ func PTk(t *Table, k int, threshold float64) ([]TupleProb, error) {
 	return defaultEngine.PTk(t, k, threshold)
 }
 
-// PTk computes the probabilistic threshold top-k answer with this engine's
-// cache; see the package-level PTk.
+// PTk computes the probabilistic threshold top-k answer through this
+// engine; see the package-level PTk.
 func (e *Engine) PTk(t *Table, k int, threshold float64) ([]TupleProb, error) {
 	if t == nil {
 		return nil, ErrNilTable
@@ -138,8 +138,8 @@ func (e *Engine) PTkSnapshot(s *Snapshot, k int, threshold float64) ([]TupleProb
 // with the highest probability of being in the top-k, most probable first.
 func GlobalTopK(t *Table, k int) ([]TupleProb, error) { return defaultEngine.GlobalTopK(t, k) }
 
-// GlobalTopK computes the Global-Topk answer with this engine's cache; see
-// the package-level GlobalTopK.
+// GlobalTopK computes the Global-Topk answer through this engine; see the
+// package-level GlobalTopK.
 func (e *Engine) GlobalTopK(t *Table, k int) ([]TupleProb, error) {
 	if t == nil {
 		return nil, ErrNilTable
@@ -165,8 +165,8 @@ func (e *Engine) GlobalTopKSnapshot(s *Snapshot, k int) ([]TupleProb, error) {
 // being among the top-k — the marginal the category-2 semantics build on.
 func InTopKProbs(t *Table, k int) ([]TupleProb, error) { return defaultEngine.InTopKProbs(t, k) }
 
-// InTopKProbs returns the in-top-k marginals with this engine's cache; see
-// the package-level InTopKProbs.
+// InTopKProbs returns the in-top-k marginals through this engine; see the
+// package-level InTopKProbs.
 func (e *Engine) InTopKProbs(t *Table, k int) ([]TupleProb, error) {
 	if t == nil {
 		return nil, ErrNilTable
@@ -211,8 +211,8 @@ func ExpectedRankTopK(t *Table, k int) ([]ExpectedRankTuple, error) {
 	return defaultEngine.ExpectedRankTopK(t, k)
 }
 
-// ExpectedRankTopK computes the expected-rank answer with this engine's
-// cache; see the package-level ExpectedRankTopK.
+// ExpectedRankTopK computes the expected-rank answer through this engine;
+// see the package-level ExpectedRankTopK.
 func (e *Engine) ExpectedRankTopK(t *Table, k int) ([]ExpectedRankTuple, error) {
 	if t == nil {
 		return nil, ErrNilTable
@@ -246,8 +246,8 @@ func ScanDepth(t *Table, k int, ptau float64) (int, error) {
 	return defaultEngine.ScanDepth(t, k, ptau)
 }
 
-// ScanDepth returns the Theorem-2 scan depth with this engine's cache; see
-// the package-level ScanDepth.
+// ScanDepth returns the Theorem-2 scan depth through this engine; see the
+// package-level ScanDepth.
 func (e *Engine) ScanDepth(t *Table, k int, ptau float64) (int, error) {
 	if t == nil {
 		return 0, ErrNilTable

@@ -358,24 +358,26 @@ func servingTable(n int) *probtopk.Table {
 	return tab
 }
 
-// BenchmarkEngineRepeatedQuery measures repeated same-table queries through
-// the caching engine against the uncached path (a cache-disabled engine,
-// i.e. calling TopKDistribution in a loop with preparation from scratch
-// each time). Results are bit-identical (TestEngineCachedMatchesUncached);
-// the cached path amortizes preparation across the steady state.
+// BenchmarkEngineRepeatedQuery measures repeated same-table queries over
+// the table's memoized snapshot against a fresh NewSnapshot per iteration,
+// which prepares from scratch each time. Results are bit-identical
+// (TestEngineCachedMatchesUncached); the memo amortizes preparation across
+// the steady state.
 func BenchmarkEngineRepeatedQuery(b *testing.B) {
 	tab := servingTable(20000)
+	tuples := tab.Tuples()
+	e := probtopk.NewEngine()
 	for _, bench := range []struct {
-		name   string
-		engine *probtopk.Engine
+		name     string
+		snapshot func() *probtopk.Snapshot
 	}{
-		{"cached", probtopk.NewEngine()},
-		{"uncached-loop", probtopk.NewEngineWithCache(0)},
+		{"memoized", tab.Snapshot},
+		{"fresh-snapshot", func() *probtopk.Snapshot { return probtopk.NewSnapshot(tuples) }},
 	} {
 		b.Run(bench.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				dist, err := bench.engine.TopKDistribution(tab, 5, nil)
+				dist, err := e.TopKDistributionSnapshot(bench.snapshot(), 5, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

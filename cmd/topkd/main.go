@@ -30,14 +30,12 @@
 //
 // -shards N (default GOMAXPROCS, capped at 256) splits the serving stack
 // N ways by table name: the registry, the mutation/durability mutex and
-// the WAL (one segment sequence per shard under -data-dir); the
-// prepared-query cache is split into N partitions too (routed by table
-// identity rather than name). Mutations of tables on different shards
-// never serialize; queries are lock-free either way and unaffected. A
-// -data-dir written under a different shard count (including by a
-// pre-sharding build) is migrated in place at boot. See the package
-// documentation of internal/server (or the repository README) for the
-// endpoint reference and recovery semantics.
+// the WAL (one segment sequence per shard under -data-dir). Mutations of
+// tables on different shards never serialize; queries are lock-free either
+// way and unaffected. A -data-dir written under a different shard count
+// (including by a pre-sharding build) is migrated in place at boot. See the
+// package documentation of internal/server (or the repository README) for
+// the endpoint reference and recovery semantics.
 //
 // # Replication
 //
@@ -106,8 +104,6 @@ func main() {
 	load := flag.String("load", "", "glob of CSV table files to serve at startup")
 	answerCache := flag.Int("answer-cache", 0,
 		"derived-answer cache entries (0 = default, negative = disabled)")
-	engineCache := flag.Int("engine-cache", 0,
-		"prepared-table cache entries (0 = default, negative = disabled)")
 	dataDir := flag.String("data-dir", "",
 		"directory for durable state (WAL + snapshot checkpoints); empty = in-memory only")
 	fsync := flag.String("fsync", "always",
@@ -117,7 +113,7 @@ func main() {
 	checkpointEvery := flag.Int("checkpoint-every", 256,
 		"checkpoint hosted tables into the snapshot file and truncate the WAL after this many logged mutations (0 = never)")
 	shards := flag.Int("shards", min(runtime.GOMAXPROCS(0), persist.MaxShards),
-		"shard the serving stack (registry, mutation mutex, WAL, prepared cache) this many ways by table name; 1 disables sharding")
+		"shard the serving stack (registry, mutation mutex, WAL) this many ways by table name; 1 disables sharding")
 	pprofOn := flag.Bool("pprof", false,
 		"mount net/http/pprof profiling handlers under /debug/pprof/ (exposes internals; off by default)")
 	replAddr := flag.String("repl-addr", "",
@@ -151,8 +147,7 @@ func main() {
 	flag.Parse()
 
 	err := run(config{
-		addr: *addr, load: *load,
-		answerCache: *answerCache, engineCache: *engineCache,
+		addr: *addr, load: *load, answerCache: *answerCache,
 		dataDir: *dataDir, fsync: *fsync, maxBatchDelay: *maxBatchDelay,
 		checkpointEvery: *checkpointEvery,
 		shards:          *shards,
@@ -185,7 +180,6 @@ type config struct {
 	addr            string
 	load            string
 	answerCache     int
-	engineCache     int
 	dataDir         string
 	fsync           string
 	maxBatchDelay   time.Duration
@@ -441,7 +435,6 @@ func buildServer(cfg config) (*server.Server, *persist.Manager, error) {
 	}
 	scfg := server.Config{
 		AnswerCacheSize: cfg.answerCache,
-		EngineCacheSize: cfg.engineCache,
 		Shards:          cfg.shards,
 		Durability:      durable,
 		EnablePprof:     cfg.pprof,

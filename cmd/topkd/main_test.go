@@ -10,8 +10,10 @@ import (
 
 	"strings"
 
+	"probtopk/internal/persist"
 	"probtopk/internal/server"
 	"probtopk/internal/server/fairness"
+	"probtopk/internal/uncertain"
 )
 
 const fleetCSV = `id,score,prob,group
@@ -151,6 +153,48 @@ func TestBatchedRestartRecoversTables(t *testing.T) {
 	}
 	if info.Tuples != 4 {
 		t.Fatalf("batched mutations lost across restart: %+v", info)
+	}
+}
+
+// TestReplayRejectsDuplicateIDAppend: a checksummed WAL append that
+// repeats a tuple id — which the live append path refuses — is rejected by
+// recovery, which truncates the log there as for any rejected record, so
+// the daemon boots with the state before it instead of refusing to restore
+// the table.
+func TestReplayRejectsDuplicateIDAppend(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "data")
+	cfg := config{dataDir: dir, fsync: "never", shards: 1}
+	man, _, err := persist.Open(dir, persist.Options{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := man.LogPut("fleet", []uncertain.Tuple{{ID: "a", Score: 2, Prob: 0.5}, {ID: "b", Score: 1, Prob: 0.5}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := man.LogAppend("fleet", []uncertain.Tuple{{ID: "a", Score: 3, Prob: 0.5}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := man.LogAppend("fleet", []uncertain.Tuple{{ID: "c", Score: 4, Prob: 0.5}}); err != nil {
+		t.Fatal(err)
+	}
+	man.Close()
+
+	srv, man, err := buildServer(cfg)
+	if err != nil {
+		t.Fatalf("boot after a duplicate-id append: %v", err)
+	}
+	defer man.Close()
+	if info := man.ReplayInfo(); !info.Truncated || info.Records != 1 {
+		t.Fatalf("replay = %+v, want the put replayed and the log truncated at the duplicate", info)
+	}
+	var info server.TableInfo
+	w := httptest.NewRecorder()
+	srv.ServeHTTP(w, httptest.NewRequest("GET", "/tables/fleet", nil))
+	if err := json.Unmarshal(w.Body.Bytes(), &info); err != nil {
+		t.Fatal(err)
+	}
+	if w.Code != 200 || info.Tuples != 2 {
+		t.Fatalf("recovered table: %d %+v, want the put's 2 tuples", w.Code, info)
 	}
 }
 

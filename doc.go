@@ -34,9 +34,9 @@
 // A Table is the mutable builder of the model; everything above it works on
 // the immutable Snapshot it publishes. Table.Snapshot freezes the current
 // contents under a process-unique identity, copy-on-write: an unchanged
-// table hands out the same snapshot on every call (so caches keep
-// hitting), and a mutation lazily mints a fresh one without copying any
-// tuples. A snapshot, once obtained, never changes — queries over it hold
+// table hands out the same snapshot on every call (so its prepared form
+// and cached answers keep serving), and a mutation lazily mints a fresh one
+// without copying any tuples. A snapshot, once obtained, never changes — queries over it hold
 // no lock, see exactly the state it froze, and can run while the owning
 // table keeps mutating; a multi-step read (distribution, then baselines,
 // then typical sets over one Snapshot) is guaranteed a consistent state
@@ -49,18 +49,19 @@
 //
 // All queries route through a reusable Engine built for repeated queries
 // over slowly-changing data. The prepared (validated, sorted, indexed) form
-// of each queried state is cached keyed by its snapshot identity —
-// repeated queries over an unchanged table skip preparation entirely, and
-// any mutation transparently invalidates. Per-query dynamic-programming
-// scratch is pooled, so steady-state queries allocate near-zero, with
-// results bit-identical to fresh allocation. Engine.TopKDistributionBatch
+// of each queried state is computed once and memoized on its snapshot
+// (Snapshot.Prepare) — repeated queries over an unchanged table skip
+// preparation entirely, a mutation mints a fresh snapshot with a fresh
+// memo, and the engine holds no cache to invalidate. Per-query
+// dynamic-programming scratch is pooled, so steady-state queries allocate
+// near-zero, with results bit-identical to fresh allocation.
+// Engine.TopKDistributionBatch
 // evaluates many (k, threshold) queries against one table, sharing the
 // preparation and scan and fanning out over a bounded worker pool. Every
 // query method has a *Snapshot form (TopKDistributionSnapshot, the
 // baseline semantics, batches) for lock-free reads concurrent with
 // mutation. The package-level functions use a shared default engine;
-// construct one with NewEngine to isolate cache capacity and statistics
-// per workload.
+// construct one with NewEngine to keep query statistics per workload.
 //
 // # Dynamic index
 //
@@ -79,7 +80,8 @@
 // warm. Because the tree is persistent (mutations path-copy, never touching
 // published nodes), freezing the index is O(1): the server's tables and
 // Stream windows attach frozen index views to the snapshots they publish,
-// and the engine materializes from the view instead of sorting — mutation
+// and a snapshot's Prepare materializes from its view instead of sorting,
+// once per snapshot — mutation
 // cost on the serving path drops from O(n log n) per re-prepare to
 // polylogarithmic per operation (the topk-bench "dynamic" figure tracks the
 // win; at a 100,000-tuple window a mid-rank push is ~130x faster than the
@@ -189,11 +191,9 @@
 // topkd -shards N (default GOMAXPROCS) splits the serving stack N ways by
 // table name — shard = fnv32a(name) % N (persist.ShardOf) routes the
 // registry slice, the mutation/durability mutex and the WAL segment
-// sequence (wal-sNN-%08d.seg); the prepared-query cache is split into N
-// partitions of its own, routed by table identity (NewEngineSharded). So
-// durable mutations of tables on different shards — check, log, fsync,
-// publish — proceed in parallel instead of serializing behind one global
-// mutex. Queries are unaffected:
+// sequence (wal-sNN-%08d.seg). So durable mutations of tables on different
+// shards — check, log, fsync, publish — proceed in parallel instead of
+// serializing behind one global mutex. Queries are unaffected:
 // they were already lock-free over immutable snapshots, and answers are
 // byte-identical at any shard count. The snapshot file (format v2)
 // records one checkpoint watermark per shard; a data directory written

@@ -9,23 +9,19 @@ import (
 	"probtopk/internal/uncertain"
 )
 
-// DefaultEngineCacheSize is the number of prepared tables a NewEngine engine
-// retains (each distinct table occupies at most one slot).
-const DefaultEngineCacheSize = engine.DefaultCacheSize
-
 // Engine is a reusable, concurrency-safe query engine for serving repeated
 // top-k queries:
 //
 //   - The prepared (validated, sorted, indexed) form of each queried state
-//     is cached keyed by its snapshot identity (Snapshot.ID), so repeated
-//     queries over an unchanged table skip preparation entirely; mutating
-//     the table mints a fresh snapshot whose new identity transparently
-//     invalidates, and — identities being process-unique and never reused —
-//     a cached preparation can never be served for different contents,
-//     whatever happens to table pointers, versions or clones.
+//     is computed once per snapshot and memoized on it (Snapshot.Prepare),
+//     so repeated queries over an unchanged table skip preparation
+//     entirely; mutating the table mints a fresh snapshot with its own
+//     memo, so a prepared form can never be served for different contents,
+//     whatever happens to table pointers, versions or clones. The engine
+//     holds no cache: the memo is freed with its snapshot.
 //   - Per-query dynamic-programming scratch is drawn from a process-wide
 //     pool, so steady-state queries allocate near-zero. Results are
-//     bit-identical to the uncached, freshly allocated path.
+//     bit-identical to the freshly allocated path.
 //   - Batches of (k, threshold) queries against one table share the
 //     preparation, the Theorem-2 prefix sums and the unit decomposition,
 //     fanned out over a bounded worker pool.
@@ -39,71 +35,31 @@ const DefaultEngineCacheSize = engine.DefaultCacheSize
 // the same frozen state.
 //
 // The package-level query functions (TopKDistribution, CTypicalTopK, the
-// baseline semantics) route through a shared default engine, so plain
-// library use gets the caching for free. Construct a dedicated Engine to
-// isolate cache capacity or statistics per workload.
-//
-// An Engine holds references to the snapshots it has prepared (at most
-// cacheSize of them, least-recently-used evicted first); call Invalidate to
-// release a table's entry eagerly.
+// baseline semantics) route through a shared default engine. Construct a
+// dedicated Engine to keep query statistics per workload.
 type Engine struct {
 	e *engine.Engine
 }
 
-// NewEngine returns an engine with the default prepared-table cache size.
-func NewEngine() *Engine { return NewEngineWithCache(DefaultEngineCacheSize) }
-
-// NewEngineWithCache returns an engine whose cache holds up to cacheSize
-// prepared tables. cacheSize <= 0 disables caching — every query prepares
-// afresh — which is the configuration to benchmark the uncached path
-// against.
-func NewEngineWithCache(cacheSize int) *Engine {
-	return &Engine{e: engine.New(cacheSize)}
-}
-
-// NewEngineSharded returns an engine whose prepared-table cache is split
-// into shards independently locked partitions, routed by table identity,
-// with the cacheSize budget divided evenly across them. Serving layers
-// that shard tables (internal/server with -shards) pass their shard count
-// so cache traffic for unrelated tables never contends on one mutex;
-// results are identical to an unpartitioned engine. shards < 1 means one
-// partition; cacheSize <= 0 disables caching.
-func NewEngineSharded(cacheSize, shards int) *Engine {
-	return &Engine{e: engine.NewPartitioned(cacheSize, shards)}
-}
+// NewEngine returns an engine.
+func NewEngine() *Engine { return &Engine{e: engine.New()} }
 
 // defaultEngine backs the package-level query functions.
 var defaultEngine = NewEngine()
 
-// Invalidate drops any preparation of t cached by the package's shared
-// default engine. The package-level query functions retain (up to the
-// default cache size) the most recently queried tables and their prepared
-// forms; long-running processes that query many short-lived tables should
-// call Invalidate when done with one, or use a dedicated Engine whose
-// lifetime they control.
-func Invalidate(t *Table) { defaultEngine.Invalidate(t) }
-
-// EngineStats is a snapshot of an engine's prepared-table cache and query
-// counters.
+// EngineStats is a snapshot of an engine's query counters and of the
+// process-wide dynamic-index counters.
 type EngineStats struct {
-	// Hits and Misses count Prepare calls served from / filled into the
-	// cache; Evictions counts entries dropped by the LRU bound.
-	Hits, Misses, Evictions uint64
-	// Entries is the current number of cached prepared tables.
-	Entries int
-	// PartitionEntries is the per-partition entry count of a sharded
-	// engine's cache (length 1 for an unsharded one, nil with caching
-	// disabled).
-	PartitionEntries []int
 	// Queries counts the main-algorithm distribution computations the
 	// engine has run (each member of a batch counts once); QueryTime is
 	// their cumulative wall-clock time. A serving layer exports these to
 	// track the mean dynamic-programming cost.
 	Queries   uint64
 	QueryTime time.Duration
-	// ViewPrepares counts cache misses served by materializing a snapshot's
-	// attached dynamic-index view (reusing the index's unchanged rank
-	// prefix) instead of sorting from scratch.
+	// ViewPrepares counts, process-wide, the snapshots whose prepared form
+	// was built by materializing their attached dynamic-index view (reusing
+	// the index's unchanged rank prefix) instead of sorting from scratch:
+	// at most one per snapshot.
 	ViewPrepares uint64
 	// IndexMutations, IndexMemoHits, IndexSuffixRebuilds, IndexFullRebuilds
 	// and IndexViewRebuilds surface the process-wide dynamic-index
@@ -118,19 +74,17 @@ type EngineStats struct {
 	IndexViewRebuilds   uint64
 	// IndexPrefixBuilds counts, process-wide, the rank prefixes frozen
 	// views built for thresholded main-algorithm queries, which scan only a
-	// prefix and so skip the whole prepared form (and the prepared-table
-	// cache).
+	// prefix and so skip the whole prepared form.
 	IndexPrefixBuilds uint64
 }
 
-// CacheStats returns a snapshot of the engine's cache counters.
+// CacheStats returns a snapshot of the engine's query counters and the
+// process-wide dynamic-index counters.
 func (e *Engine) CacheStats() EngineStats {
 	s := e.e.Stats()
 	return EngineStats{
-		Hits: s.Hits, Misses: s.Misses, Evictions: s.Evictions, Entries: s.Entries,
-		PartitionEntries: s.PartEntries,
-		Queries:          s.Queries, QueryTime: time.Duration(s.QueryNanos),
-		ViewPrepares:   s.ViewPrepares,
+		Queries: s.Queries, QueryTime: time.Duration(s.QueryNanos),
+		ViewPrepares:   s.Index.ViewPrepares,
 		IndexMutations: s.Index.Mutations, IndexMemoHits: s.Index.MemoHits,
 		IndexSuffixRebuilds: s.Index.SuffixMaterializations,
 		IndexFullRebuilds:   s.Index.FullMaterializations,
@@ -139,16 +93,8 @@ func (e *Engine) CacheStats() EngineStats {
 	}
 }
 
-// Invalidate drops any cached preparation of t's latest snapshot, releasing
-// the engine's references to it.
-func (e *Engine) Invalidate(t *Table) { e.e.Invalidate(t) }
-
-// InvalidateSnapshot drops the cached preparation of the snapshot with the
-// given identity, if present.
-func (e *Engine) InvalidateSnapshot(id uint64) { e.e.InvalidateSnapshot(id) }
-
 // TopKDistribution computes the score distribution of the top-k tuple
-// vectors of t, like the package-level function, with this engine's cache.
+// vectors of t, like the package-level function, through this engine.
 func (e *Engine) TopKDistribution(t *Table, k int, opts *Options) (*Distribution, error) {
 	if t == nil {
 		return nil, ErrNilTable
@@ -198,7 +144,7 @@ type BatchQuery struct {
 }
 
 // TopKDistributionBatch answers many (k, threshold) queries against one
-// table with the main algorithm, sharing a single (cached) preparation and
+// table with the main algorithm, sharing a single (memoized) preparation and
 // scan across all of them. opts supplies the shared options; each query's K
 // and Threshold override it. Queries fan out over up to opts.Parallelism
 // goroutines (values below 2 run serially, each query's own unit-level
@@ -243,8 +189,8 @@ func (e *Engine) TopKDistributionBatchSnapshot(s *Snapshot, queries []BatchQuery
 	return out, nil
 }
 
-// CTypicalTopK computes the top-k score distribution of t with this
-// engine's cache and returns the c typical vectors; see the package-level
+// CTypicalTopK computes the top-k score distribution of t through this
+// engine and returns the c typical vectors; see the package-level
 // CTypicalTopK.
 func (e *Engine) CTypicalTopK(t *Table, k, c int, opts *Options) ([]Line, error) {
 	dist, err := e.TopKDistribution(t, k, opts)
@@ -268,7 +214,7 @@ func (e *Engine) CTypicalTopKSnapshot(s *Snapshot, k, c int, opts *Options) ([]L
 // prepareFor returns the prepared form of s that queries with algorithm alg
 // need: for the main algorithm, only the rank prefix their Theorem-2 scans
 // reach when s carries an index view (engine.PrepareScan); otherwise the
-// whole form, from the cache when possible.
+// snapshot's memoized whole form.
 func (e *Engine) prepareFor(s *Snapshot, alg Algorithm, queries []engine.Query) (*uncertain.Prepared, error) {
 	if alg == AlgorithmMain {
 		return e.e.PrepareScan(s, queries)
@@ -276,7 +222,7 @@ func (e *Engine) prepareFor(s *Snapshot, alg Algorithm, queries []engine.Query) 
 	return e.e.PrepareSnapshot(s)
 }
 
-// prepareSnapshot returns the cached prepared form of s via this engine.
+// prepareSnapshot returns the memoized prepared form of s via this engine.
 func (e *Engine) prepareSnapshot(s *Snapshot) (*uncertain.Prepared, error) {
 	if s == nil {
 		return nil, ErrNilSnapshot

@@ -1,6 +1,7 @@
 package probtopk_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -171,29 +172,45 @@ func TestStreamMatchesBatchRandom(t *testing.T) {
 	}
 }
 
-// TestParallelOptionPublic: Parallelism produces identical results through
-// the public API.
+// TestParallelOptionPublic: Parallelism produces bit-identical results
+// through the public API, at the default options (pruning and coalescing
+// under fan-out) and for an exact query. The exact query runs on a table
+// whose exact answer fits in memory: the uncapped k=5 answer over the
+// 60-tuple table has millions of lines.
 func TestParallelOptionPublic(t *testing.T) {
-	tab := probtopk.NewTable()
-	r := rand.New(rand.NewSource(9))
-	for i := 0; i < 60; i++ {
-		g := ""
-		prob := 0.1 + 0.4*r.Float64()
-		if i%2 == 0 {
-			g = string(rune('a' + i/6)) // groups of ≤ 3 members
-			prob = 0.05 + 0.25*r.Float64()
+	table := func(n int) *probtopk.Table {
+		tab := probtopk.NewTable()
+		r := rand.New(rand.NewSource(9))
+		for i := 0; i < n; i++ {
+			g := ""
+			prob := 0.1 + 0.4*r.Float64()
+			if i%2 == 0 {
+				g = string(rune('a' + i/6)) // groups of ≤ 3 members
+				prob = 0.05 + 0.25*r.Float64()
+			}
+			tab.Add(probtopk.Tuple{ID: fmt.Sprintf("t%d", i), Score: r.Float64() * 100, Prob: prob, Group: g})
 		}
-		tab.Add(probtopk.Tuple{ID: "t", Score: r.Float64() * 100, Prob: prob, Group: g})
+		return tab
 	}
-	serial, err := probtopk.TopKDistribution(tab, 5, &probtopk.Options{Threshold: -1, MaxLines: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := probtopk.TopKDistribution(tab, 5, &probtopk.Options{Threshold: -1, MaxLines: -1, Parallelism: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.Len() != par.Len() || math.Abs(serial.Mean()-par.Mean()) > 1e-12 {
-		t.Fatalf("parallel differs: %d/%v vs %d/%v", serial.Len(), serial.Mean(), par.Len(), par.Mean())
+	for _, c := range []struct {
+		name string
+		n, k int
+		opts probtopk.Options
+	}{
+		{"default", 60, 5, probtopk.Options{}},
+		{"exact", 24, 4, probtopk.Options{Threshold: -1, MaxLines: -1}},
+	} {
+		tab := table(c.n)
+		serial, err := probtopk.TopKDistribution(tab, c.k, &c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		par := c.opts
+		par.Parallelism = 8
+		fanned, err := probtopk.TopKDistribution(tab, c.k, &par)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameLines(t, c.name+": parallel vs serial", fanned, serial)
 	}
 }

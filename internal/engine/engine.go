@@ -2,15 +2,13 @@
 // turns the one-shot batch algorithms of internal/core into something that
 // can sit behind a server:
 //
-//   - Prepared-table caching. uncertain.Prepare sorts, validates and indexes
-//     a table; for repeated queries over slowly-changing data that dominates
-//     small-query cost. The engine caches Prepared values keyed by the
-//     snapshot identity (uncertain.Snapshot.ID): queries over an unchanged
-//     table hand out the same snapshot and skip preparation entirely, a
-//     mutation mints a fresh snapshot whose ID transparently misses, and —
-//     because IDs are process-unique and never reused — a cached entry can
-//     never be served for different contents, whatever happens to table
-//     pointers, versions or clones.
+//   - One prepared form per snapshot. uncertain.Prepare sorts, validates and
+//     indexes a table; for repeated queries over slowly-changing data that
+//     dominates small-query cost. PrepareSnapshot hands out the snapshot's
+//     own memo (uncertain.Snapshot.Prepare): queries over an unchanged table
+//     share one snapshot and skip preparation entirely, a mutation mints a
+//     fresh snapshot with a fresh memo, and the memo is freed with its
+//     snapshot. The engine itself holds no cache and needs no invalidation.
 //   - Prefix preparation. A thresholded main-algorithm query scans only
 //     the first ranks (Theorem 2), so PrepareScan serves it from the rank
 //     prefix of the snapshot's index view that the scan can reach, built in
@@ -24,14 +22,11 @@
 //     prefix sums and the memoized unit decomposition, fanned out over a
 //     bounded worker pool.
 //
-// An Engine is safe for concurrent use. Queries that enter through a
-// *Table must follow the usual Table contract (no mutation concurrent with
-// the call itself), but queries that enter through a Snapshot hold nothing:
-// the table may keep mutating while they run.
+// An Engine is safe for concurrent use, and its queries hold nothing: they
+// run against immutable snapshots while the table keeps mutating.
 package engine
 
 import (
-	"container/list"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,135 +35,50 @@ import (
 	"probtopk/internal/uncertain"
 )
 
-// DefaultCacheSize is the default number of prepared snapshots an Engine
-// retains. Each table occupies at most one slot in the steady state: a
-// newer snapshot of the same owner eagerly drops the superseded entry.
-const DefaultCacheSize = 64
-
-// Engine is a reusable query engine with a bounded LRU cache of prepared
-// snapshots, split into one or more independently locked partitions. The
-// zero value is not usable; construct with New or NewPartitioned.
+// Engine is a reusable query engine. It keeps only query counters; the
+// prepared forms it uses belong to the snapshots. The zero value is ready
+// to use.
 type Engine struct {
-	cacheCap int // total budget across partitions; <= 0 disables caching
-	parts    []*cachePart
-
-	hits      atomic.Uint64
-	misses    atomic.Uint64
-	evictions atomic.Uint64
-
 	queries    atomic.Uint64
 	queryNanos atomic.Uint64
-
-	// viewPrepares counts cache misses that were served by materializing the
-	// snapshot's attached dynamic-index view (suffix reuse, shared memo)
-	// instead of a from-scratch sort.
-	viewPrepares atomic.Uint64
 }
 
-// cachePart is one independently locked slice of the prepared-snapshot
-// cache. Entries are routed by table identity (Snapshot.Owner), so all
-// snapshots of one table live in one partition — the byOwner supersede
-// index stays sound — while unrelated tables stop contending on one lock.
-type cachePart struct {
-	cap int
+// New returns an Engine.
+func New() *Engine { return &Engine{} }
 
-	mu sync.Mutex
-	// byID indexes every cached entry by its snapshot identity — the sound
-	// lookup key.
-	byID map[uint64]*list.Element // of *cacheEntry
-	// byOwner tracks, per table identity, the entry for that table's LATEST
-	// cached snapshot, so a newer snapshot can eagerly reclaim the
-	// superseded one instead of letting it age out of the LRU.
-	byOwner map[uint64]*list.Element
-	lru     *list.List // front = most recently used
-}
+// DefaultCacheSize, NewPartitioned and Invalidate remain for the benchmark
+// harness (perfbench/trace.go), which still calls them; the engine holds no
+// cache, so they configure and release nothing.
+const DefaultCacheSize = 64
 
-type cacheEntry struct {
-	id    uint64 // snapshot identity
-	owner uint64 // table identity
-	prep  *uncertain.Prepared
-}
+// NewPartitioned returns New(); see DefaultCacheSize.
+func NewPartitioned(cacheSize, parts int) *Engine { return New() }
 
-// New returns an Engine whose prepared-snapshot cache holds up to cacheSize
-// entries in a single partition. cacheSize <= 0 disables caching: every
-// query prepares afresh (scratch pooling and batching still apply), which
-// is the configuration benchmarks use as the uncached baseline.
-func New(cacheSize int) *Engine {
-	return NewPartitioned(cacheSize, 1)
-}
+// Invalidate does nothing; see DefaultCacheSize.
+func (e *Engine) Invalidate(*uncertain.Table) {}
 
-// NewPartitioned returns an Engine whose prepared-snapshot cache is split
-// into parts independently locked partitions, routed by table identity.
-// The cacheSize budget is divided evenly (rounded up) across partitions;
-// cacheSize <= 0 disables caching entirely, parts < 1 means one partition.
-// Sharded serving layers pass their shard count so preparation-cache
-// traffic for unrelated tables never meets on one mutex.
-func NewPartitioned(cacheSize, parts int) *Engine {
-	if parts < 1 {
-		parts = 1
-	}
-	e := &Engine{cacheCap: cacheSize}
-	if cacheSize <= 0 {
-		return e
-	}
-	per := (cacheSize + parts - 1) / parts
-	for i := 0; i < parts; i++ {
-		e.parts = append(e.parts, &cachePart{
-			cap:     per,
-			byID:    make(map[uint64]*list.Element),
-			byOwner: make(map[uint64]*list.Element),
-			lru:     list.New(),
-		})
-	}
-	return e
-}
-
-// part routes a table identity to its cache partition.
-func (e *Engine) part(owner uint64) *cachePart {
-	return e.parts[owner%uint64(len(e.parts))]
-}
-
-// Stats is a snapshot of the engine's cache and query counters.
+// Stats is a snapshot of the engine's query counters.
 type Stats struct {
-	Hits, Misses, Evictions uint64
-	Entries                 int
-	// PartEntries is the current entry count of each cache partition
-	// (length 1 for an unpartitioned engine, nil with caching disabled).
-	PartEntries []int
 	// Queries counts the distribution computations the engine has run
 	// (each member of a batch counts once); QueryNanos is their cumulative
 	// wall-clock time in nanoseconds. Together they give the mean DP cost a
 	// serving layer can export.
 	Queries    uint64
 	QueryNanos uint64
-	// ViewPrepares counts cache misses served from a snapshot's attached
-	// dynamic-index view instead of a from-scratch sort.
-	ViewPrepares uint64
 	// Index aggregates the dynamic-index maintenance counters
 	// (uncertain.IndexTotals) across the whole process — every index behind
-	// this engine's snapshots reports there, whoever owns it.
+	// this engine's snapshots reports there, whoever owns it, and so does
+	// every snapshot prepared from its view.
 	Index uncertain.IndexStats
 }
 
-// Stats returns a snapshot of the cache counters.
+// Stats returns a snapshot of the counters.
 func (e *Engine) Stats() Stats {
-	st := Stats{
-		Hits:         e.hits.Load(),
-		Misses:       e.misses.Load(),
-		Evictions:    e.evictions.Load(),
-		Queries:      e.queries.Load(),
-		QueryNanos:   e.queryNanos.Load(),
-		ViewPrepares: e.viewPrepares.Load(),
-		Index:        uncertain.IndexTotals(),
+	return Stats{
+		Queries:    e.queries.Load(),
+		QueryNanos: e.queryNanos.Load(),
+		Index:      uncertain.IndexTotals(),
 	}
-	for _, p := range e.parts {
-		p.mu.Lock()
-		n := p.lru.Len()
-		p.mu.Unlock()
-		st.PartEntries = append(st.PartEntries, n)
-		st.Entries += n
-	}
-	return st
 }
 
 // recordQueries adds n computed queries taking d to the latency counters.
@@ -177,65 +87,12 @@ func (e *Engine) recordQueries(n int, d time.Duration) {
 	e.queryNanos.Add(uint64(d))
 }
 
-// Prepare returns the Prepared form of t's current snapshot, from cache
-// when possible. The returned Prepared is immutable and safe for concurrent
-// readers for as long as the caller likes — it belongs to the snapshot, not
-// to the table's future states.
-func (e *Engine) Prepare(t *uncertain.Table) (*uncertain.Prepared, error) {
-	if e.cacheCap <= 0 {
-		e.misses.Add(1)
-		return uncertain.Prepare(t)
-	}
-	return e.PrepareSnapshot(t.Snapshot())
-}
-
-// prepareContents builds the Prepared form of s, preferring its attached
-// dynamic-index view — which reuses the index's unchanged rank prefix and
-// shares the owner's memoized Prepared — over a from-scratch sort.
-func (e *Engine) prepareContents(s *uncertain.Snapshot) (*uncertain.Prepared, error) {
-	if v := s.IndexView(); v != nil && v.Len() == s.Len() {
-		prep, err := v.Materialize()
-		if err == nil {
-			e.viewPrepares.Add(1)
-			return prep, nil
-		}
-		// Invalid contents: fall through so the error comes from the same
-		// validation path (and with the same wording) as uncached prepares.
-	}
-	return s.Prepare()
-}
-
-// PrepareSnapshot returns the Prepared form of s, keyed by its identity:
-// from cache on a repeat, prepared and cached otherwise. A snapshot carrying
-// a dynamic-index view (published by a mutate path that maintains an
-// uncertain.Index) is materialized from the view instead of re-sorted.
+// PrepareSnapshot returns the Prepared form of s: the snapshot's own memo,
+// built on first use from its attached dynamic-index view when it has one,
+// by sorting otherwise (uncertain.Snapshot.Prepare). The returned Prepared
+// is immutable and safe for concurrent readers.
 func (e *Engine) PrepareSnapshot(s *uncertain.Snapshot) (*uncertain.Prepared, error) {
-	if e.cacheCap <= 0 {
-		e.misses.Add(1)
-		return e.prepareContents(s)
-	}
-	id := s.ID()
-	p := e.part(s.Owner())
-	p.mu.Lock()
-	if el, ok := p.byID[id]; ok {
-		p.lru.MoveToFront(el)
-		p.mu.Unlock()
-		e.hits.Add(1)
-		return el.Value.(*cacheEntry).prep, nil
-	}
-	p.mu.Unlock()
-	e.misses.Add(1)
-	// Prepare outside the lock: sorting a large snapshot must not block
-	// concurrent cache hits. A racing prepare of the same snapshot does
-	// redundant work but stays correct (the first insert wins).
-	prep, err := e.prepareContents(s)
-	if err != nil {
-		return nil, err
-	}
-	p.mu.Lock()
-	e.evictions.Add(p.insertLocked(&cacheEntry{id: id, owner: s.Owner(), prep: prep}))
-	p.mu.Unlock()
-	return prep, nil
+	return s.Prepare()
 }
 
 // PrepareScan returns a Prepared form of s that answers the given
@@ -281,91 +138,6 @@ func prefixFor(s *uncertain.Snapshot, queries []Query) *uncertain.Prepared {
 	return p
 }
 
-// insertLocked adds ent to the partition, returning how many entries the
-// LRU bound evicted. A newer snapshot of the same owner supersedes that
-// owner's previous entry, which is dropped eagerly (it is unreachable
-// through the table; a holder of the old snapshot re-prepares). An OLDER
-// snapshot arriving late — a slow query racing a mutation — is cached by
-// ID without disturbing the owner index, so it never shadows the current
-// state's entry. Callers hold p.mu.
-func (p *cachePart) insertLocked(ent *cacheEntry) (evicted uint64) {
-	if el, ok := p.byID[ent.id]; ok {
-		// A racing prepare of the same snapshot beat us; keep the resident
-		// entry (identical contents) fresh.
-		p.lru.MoveToFront(el)
-		return 0
-	}
-	ownerIndexed := true
-	if el, ok := p.byOwner[ent.owner]; ok {
-		if el.Value.(*cacheEntry).id < ent.id {
-			p.removeLocked(el)
-		} else {
-			ownerIndexed = false
-		}
-	}
-	el := p.lru.PushFront(ent)
-	p.byID[ent.id] = el
-	if ownerIndexed {
-		p.byOwner[ent.owner] = el
-	}
-	for p.lru.Len() > p.cap {
-		p.removeLocked(p.lru.Back())
-		evicted++
-	}
-	return evicted
-}
-
-// removeLocked unlinks el from every index. Callers hold p.mu.
-func (p *cachePart) removeLocked(el *list.Element) {
-	ent := el.Value.(*cacheEntry)
-	p.lru.Remove(el)
-	delete(p.byID, ent.id)
-	if cur, ok := p.byOwner[ent.owner]; ok && cur == el {
-		delete(p.byOwner, ent.owner)
-	}
-}
-
-// Invalidate drops the cached preparation of t's latest snapshot, releasing
-// the engine's reference to it. (Entries for t's older snapshots were
-// already dropped when the newer one was cached.) A nil table is a no-op.
-func (e *Engine) Invalidate(t *uncertain.Table) {
-	if t == nil || e.cacheCap <= 0 {
-		return
-	}
-	p := e.part(t.Identity())
-	p.mu.Lock()
-	if el, ok := p.byOwner[t.Identity()]; ok {
-		p.removeLocked(el)
-	}
-	p.mu.Unlock()
-}
-
-// InvalidateSnapshot drops the cache entry for the snapshot with the given
-// identity, if present. Only the snapshot ID is known, not its owner, so
-// every partition is checked — the operation is rare (explicit cache
-// release), the partitions few.
-func (e *Engine) InvalidateSnapshot(id uint64) {
-	for _, p := range e.parts {
-		p.mu.Lock()
-		if el, ok := p.byID[id]; ok {
-			p.removeLocked(el)
-			p.mu.Unlock()
-			return
-		}
-		p.mu.Unlock()
-	}
-}
-
-// Distribution answers one main-algorithm query over t, using the cached
-// preparation and pooled scratch.
-func (e *Engine) Distribution(t *uncertain.Table, params core.Params) (*core.Result, error) {
-	prep, err := e.Prepare(t)
-	if err != nil {
-		return nil, err
-	}
-	return e.DistributionPrepared(prep, params)
-}
-
 // DistributionPrepared answers one main-algorithm query over an
 // already-prepared table with pooled scratch.
 func (e *Engine) DistributionPrepared(p *uncertain.Prepared, params core.Params) (*core.Result, error) {
@@ -385,24 +157,15 @@ type Query struct {
 	Threshold float64
 }
 
-// Batch answers many (k, threshold) queries against one table, sharing a
-// single (cached) preparation, the precomputed prefix sums and the memoized
-// unit decomposition. workers bounds the fan-out goroutines; values below 2
-// run the batch serially on the calling goroutine. When fanning out, each
+// BatchPrepared answers many (k, threshold) queries against one prepared
+// table, sharing the precomputed prefix sums and the memoized unit
+// decomposition. workers bounds the fan-out goroutines; values below 2 run
+// the batch serially on the calling goroutine. When fanning out, each
 // query's DP runs serially (base.Parallelism is ignored) — the batch itself
 // is the parallelism.
 //
 // Results are indexed like queries. The first error (by query index) aborts
 // the batch.
-func (e *Engine) Batch(t *uncertain.Table, base core.Params, queries []Query, workers int) ([]*core.Result, error) {
-	prep, err := e.Prepare(t)
-	if err != nil {
-		return nil, err
-	}
-	return e.BatchPrepared(prep, base, queries, workers)
-}
-
-// BatchPrepared is Batch against an already-prepared table.
 func (e *Engine) BatchPrepared(p *uncertain.Prepared, base core.Params, queries []Query, workers int) ([]*core.Result, error) {
 	results := make([]*core.Result, len(queries))
 	if len(queries) == 0 {

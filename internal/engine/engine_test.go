@@ -57,87 +57,53 @@ func sameDist(t *testing.T, label string, got, want *pmf.Dist) {
 	}
 }
 
-// TestCacheHitMiss: repeated Prepare over an unchanged table returns the
-// identical Prepared from cache; mutating the table invalidates.
+// distribution answers one main-algorithm query over t's current snapshot,
+// as the public API does.
+func distribution(e *Engine, t *uncertain.Table, params core.Params) (*core.Result, error) {
+	prep, err := e.PrepareSnapshot(t.Snapshot())
+	if err != nil {
+		return nil, err
+	}
+	return e.DistributionPrepared(prep, params)
+}
+
+// batch answers queries against t's current snapshot, as the public API does.
+func batch(e *Engine, t *uncertain.Table, base core.Params, queries []Query, workers int) ([]*core.Result, error) {
+	prep, err := e.PrepareSnapshot(t.Snapshot())
+	if err != nil {
+		return nil, err
+	}
+	return e.BatchPrepared(prep, base, queries, workers)
+}
+
+// TestCacheHitMiss: repeated preparation of an unchanged table returns the
+// snapshot's memoized Prepared; a mutation mints a snapshot with its own.
 func TestCacheHitMiss(t *testing.T) {
-	e := New(8)
+	e := New()
 	tab := randomTable(rand.New(rand.NewSource(1)), 20, 0.3)
 
-	p1, err := e.Prepare(tab)
+	p1, err := e.PrepareSnapshot(tab.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := e.Prepare(tab)
+	p2, err := e.PrepareSnapshot(tab.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p1 != p2 {
-		t.Fatal("second Prepare over unchanged table did not hit the cache")
-	}
-	if s := e.Stats(); s.Hits != 1 || s.Misses != 1 || s.Entries != 1 {
-		t.Fatalf("stats = %+v, want 1 hit / 1 miss / 1 entry", s)
+		t.Fatal("second preparation of an unchanged table did not reuse the memo")
 	}
 
 	tab.AddIndependent("fresh", 55, 0.5)
-	p3, err := e.Prepare(tab)
+	p3, err := e.PrepareSnapshot(tab.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p3 == p1 {
-		t.Fatal("Prepare after mutation returned the stale Prepared")
+		t.Fatal("preparation after mutation returned the stale Prepared")
 	}
 	if p3.Len() != tab.Len() {
 		t.Fatalf("stale preparation: %d tuples, table has %d", p3.Len(), tab.Len())
-	}
-	// The stale version is replaced, not kept alongside.
-	if s := e.Stats(); s.Misses != 2 || s.Entries != 1 {
-		t.Fatalf("stats after mutation = %+v, want 2 misses / 1 entry", s)
-	}
-}
-
-// TestCacheEvictionAndInvalidate: the LRU bound holds, and Invalidate
-// releases an entry.
-func TestCacheEvictionAndInvalidate(t *testing.T) {
-	e := New(2)
-	r := rand.New(rand.NewSource(2))
-	tabs := []*uncertain.Table{
-		randomTable(r, 8, 0), randomTable(r, 8, 0), randomTable(r, 8, 0),
-	}
-	for _, tab := range tabs {
-		if _, err := e.Prepare(tab); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s := e.Stats(); s.Entries != 2 || s.Evictions != 1 {
-		t.Fatalf("stats = %+v, want 2 entries / 1 eviction", s)
-	}
-	// tabs[0] was evicted (LRU); tabs[2] is cached.
-	if _, err := e.Prepare(tabs[2]); err != nil {
-		t.Fatal(err)
-	}
-	if s := e.Stats(); s.Hits != 1 {
-		t.Fatalf("stats = %+v, want 1 hit on the resident table", s)
-	}
-	e.Invalidate(tabs[2])
-	if s := e.Stats(); s.Entries != 1 {
-		t.Fatalf("after Invalidate: %d entries, want 1", s.Entries)
-	}
-}
-
-// TestCacheDisabled: cache size 0 prepares afresh every time.
-func TestCacheDisabled(t *testing.T) {
-	e := New(0)
-	tab := randomTable(rand.New(rand.NewSource(3)), 12, 0.2)
-	p1, err := e.Prepare(tab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := e.Prepare(tab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p1 == p2 {
-		t.Fatal("cache-disabled engine returned a cached Prepared")
 	}
 }
 
@@ -145,7 +111,7 @@ func TestCacheDisabled(t *testing.T) {
 // (and warmed, recycled) scratch are bit-identical to a fresh zero Scratch
 // on every trial — the pooling is purely an allocation optimisation.
 func TestPooledScratchBitIdentical(t *testing.T) {
-	e := New(8)
+	e := New()
 	r := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 30; trial++ {
 		tab := randomTable(r, 10+r.Intn(20), 0.4)
@@ -155,7 +121,7 @@ func TestPooledScratchBitIdentical(t *testing.T) {
 		params := core.Params{
 			K: 1 + r.Intn(4), Threshold: 0.001, MaxLines: 50, TrackVectors: true,
 		}
-		got, err := e.Distribution(tab, params)
+		got, err := distribution(e, tab, params)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +140,7 @@ func TestPooledScratchBitIdentical(t *testing.T) {
 // TestBatchMatchesIndividual: batch execution (serial and fanned out) gives
 // exactly the per-query results.
 func TestBatchMatchesIndividual(t *testing.T) {
-	e := New(8)
+	e := New()
 	tab := randomTable(rand.New(rand.NewSource(5)), 40, 0.3)
 	queries := []Query{
 		{K: 1, Threshold: 0.001}, {K: 2, Threshold: 0.001}, {K: 3, Threshold: 0},
@@ -182,7 +148,7 @@ func TestBatchMatchesIndividual(t *testing.T) {
 	}
 	base := core.Params{MaxLines: 100, TrackVectors: true}
 	for _, workers := range []int{1, 4} {
-		results, err := e.Batch(tab, base, queries, workers)
+		results, err := batch(e, tab, base, queries, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +159,7 @@ func TestBatchMatchesIndividual(t *testing.T) {
 			params := base
 			params.K = q.K
 			params.Threshold = q.Threshold
-			want, err := e.Distribution(tab, params)
+			want, err := distribution(e, tab, params)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -204,31 +170,28 @@ func TestBatchMatchesIndividual(t *testing.T) {
 			}
 		}
 	}
-	// The whole exercise prepared the table exactly once.
-	if s := e.Stats(); s.Misses != 1 {
-		t.Fatalf("stats = %+v, want a single preparation", s)
-	}
 }
 
 // TestBatchError: an invalid query aborts the batch in both execution modes.
 func TestBatchError(t *testing.T) {
-	e := New(4)
+	e := New()
 	tab := randomTable(rand.New(rand.NewSource(6)), 10, 0)
 	queries := []Query{{K: 2, Threshold: 0.001}, {K: 0, Threshold: 0.001}}
 	for _, workers := range []int{1, 2} {
-		if _, err := e.Batch(tab, core.Params{TrackVectors: true}, queries, workers); err == nil {
+		if _, err := batch(e, tab, core.Params{TrackVectors: true}, queries, workers); err == nil {
 			t.Fatalf("workers=%d: k=0 should error", workers)
 		}
 	}
 }
 
 // TestConcurrentQueries: many goroutines querying one engine and table get
-// identical answers (run with -race to exercise the cache and scratch pool).
+// identical answers (run with -race to exercise the snapshot memo and the
+// scratch pool).
 func TestConcurrentQueries(t *testing.T) {
-	e := New(4)
+	e := New()
 	tab := randomTable(rand.New(rand.NewSource(7)), 30, 0.3)
 	params := core.Params{K: 3, Threshold: 0.001, MaxLines: 60, TrackVectors: true}
-	want, err := e.Distribution(tab, params)
+	want, err := distribution(e, tab, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +202,7 @@ func TestConcurrentQueries(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
-				res, err := e.Distribution(tab, params)
+				res, err := distribution(e, tab, params)
 				if err != nil {
 					errc <- err
 					return
@@ -259,12 +222,12 @@ func TestConcurrentQueries(t *testing.T) {
 }
 
 func TestQueryLatencyCounters(t *testing.T) {
-	e := New(4)
+	e := New()
 	tab := randomTable(rand.New(rand.NewSource(3)), 30, 0.3)
-	if _, err := e.Distribution(tab, core.Params{K: 2}); err != nil {
+	if _, err := distribution(e, tab, core.Params{K: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Batch(tab, core.Params{}, []Query{{K: 1}, {K: 2}, {K: 3}}, 2); err != nil {
+	if _, err := batch(e, tab, core.Params{}, []Query{{K: 1}, {K: 2}, {K: 3}}, 2); err != nil {
 		t.Fatal(err)
 	}
 	s := e.Stats()
@@ -277,36 +240,36 @@ func TestQueryLatencyCounters(t *testing.T) {
 }
 
 // TestCacheNoCrossServeAcrossCloneAndRecreate regression-tests the
-// identity-keyed cache against the scenarios the old (pointer, version) key
-// could get wrong: a clone shares its origin's Version, and a recreated
-// table built by the same number of Adds shares it too — the cache must
-// serve each its own preparation.
+// per-snapshot memo against the scenarios a (pointer, version) key could
+// get wrong: a clone shares its origin's Version, and a recreated table
+// built by the same number of Adds shares it too — each must get its own
+// preparation.
 func TestCacheNoCrossServeAcrossCloneAndRecreate(t *testing.T) {
-	e := New(8)
+	e := New()
 	tab := uncertain.NewTable()
 	tab.AddIndependent("a", 10, 0.5)
 	tab.AddIndependent("b", 5, 0.5)
-	p1, err := e.Prepare(tab)
+	p1, err := e.PrepareSnapshot(tab.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	clone := tab.Clone()
 	clone.AddIndependent("c", 99, 0.5)
-	pc, err := e.Prepare(clone)
+	pc, err := e.PrepareSnapshot(clone.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pc == p1 || pc.Len() != 3 {
 		t.Fatalf("clone served its origin's preparation: %v", pc)
 	}
-	// The origin still hits its own entry.
-	back, err := e.Prepare(tab)
+	// The origin still gets its own preparation.
+	back, err := e.PrepareSnapshot(tab.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if back != p1 {
-		t.Fatal("origin's cache entry was clobbered by the clone")
+		t.Fatal("origin's preparation was clobbered by the clone")
 	}
 
 	// Recreate: same Add count and Version as tab, different contents.
@@ -316,7 +279,7 @@ func TestCacheNoCrossServeAcrossCloneAndRecreate(t *testing.T) {
 	if again.Version() != tab.Version() {
 		t.Fatalf("precondition: versions differ (%d vs %d)", again.Version(), tab.Version())
 	}
-	pa, err := e.Prepare(again)
+	pa, err := e.PrepareSnapshot(again.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,10 +289,10 @@ func TestCacheNoCrossServeAcrossCloneAndRecreate(t *testing.T) {
 }
 
 // TestPrepareSnapshotConcurrentWithMutation: queries over earlier snapshots
-// run (and cache) correctly while the table keeps mutating — the lock-free
-// read guarantee at the engine layer. Run with -race.
+// run (and memoize) correctly while the table keeps mutating — the
+// lock-free read guarantee at the engine layer. Run with -race.
 func TestPrepareSnapshotConcurrentWithMutation(t *testing.T) {
-	e := New(8)
+	e := New()
 	tab := randomTable(rand.New(rand.NewSource(9)), 40, 0.3)
 	var wg sync.WaitGroup
 	for step := 0; step < 60; step++ {
@@ -355,10 +318,10 @@ func TestPrepareSnapshotConcurrentWithMutation(t *testing.T) {
 	}
 	wg.Wait()
 
-	// A late insert of an old snapshot must not shadow the current state:
-	// after everything drains, preparing the current snapshot returns the
-	// current contents.
-	prep, err := e.Prepare(tab)
+	// A late preparation of an old snapshot must not shadow the current
+	// state: after everything drains, preparing the current snapshot
+	// returns the current contents.
+	prep, err := e.PrepareSnapshot(tab.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,59 +330,27 @@ func TestPrepareSnapshotConcurrentWithMutation(t *testing.T) {
 	}
 }
 
-// TestInvalidateSnapshot: dropping a snapshot's entry forces a re-prepare
-// without touching other entries.
-func TestInvalidateSnapshot(t *testing.T) {
-	e := New(8)
-	tab := randomTable(rand.New(rand.NewSource(10)), 10, 0)
-	s := tab.Snapshot()
-	p1, err := e.PrepareSnapshot(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.InvalidateSnapshot(s.ID())
-	if st := e.Stats(); st.Entries != 0 {
-		t.Fatalf("entries = %d after InvalidateSnapshot", st.Entries)
-	}
-	p2, err := e.PrepareSnapshot(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p1 == p2 {
-		t.Fatal("invalidated entry was still served")
-	}
-}
-
-// TestInvalidateNilTable: Invalidate(nil) is a safe no-op, as it was before
-// identity keying.
+// TestInvalidateNilTable: Invalidate, kept as a no-op for the benchmark
+// harness, is safe on a nil table.
 func TestInvalidateNilTable(t *testing.T) {
-	e := New(4)
-	e.Invalidate(nil) // must not panic
-	if st := e.Stats(); st.Entries != 0 {
-		t.Fatalf("entries = %d", st.Entries)
-	}
+	New().Invalidate(nil) // must not panic
 }
 
 // TestInvalidateAfterDeleteRecreate covers the delete-recreate lifecycle
-// the durable registry performs on recovery: the original table's entry is
-// invalidated on delete, a re-created table with identical contents gets a
-// FRESH identity (recovery re-mints identities on every boot), and neither
-// Invalidate of the dead table nor late traffic on the new one can
-// resurrect or disturb the other's cache entries.
+// the durable registry performs on recovery: a re-created table with
+// identical contents gets a FRESH identity (recovery re-mints identities on
+// every boot) and its own preparation, the dead table's snapshot keeps
+// serving its own to in-flight readers, and Invalidate — a no-op now that
+// preparations live on their snapshots — disturbs neither.
 func TestInvalidateAfterDeleteRecreate(t *testing.T) {
-	e := New(8)
+	e := New()
 	old := randomTable(rand.New(rand.NewSource(20)), 12, 0.5)
 	oldSnap := old.Snapshot()
 	oldPrep, err := e.PrepareSnapshot(oldSnap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// "Delete": the server invalidates by table on the remove path.
 	e.Invalidate(old)
-	if st := e.Stats(); st.Entries != 0 {
-		t.Fatalf("entries = %d after delete", st.Entries)
-	}
-	// "Recreate": identical contents, fresh identity (as after recovery).
 	fresh := uncertain.NewTable()
 	for _, tp := range old.Tuples() {
 		fresh.Add(tp)
@@ -435,66 +366,12 @@ func TestInvalidateAfterDeleteRecreate(t *testing.T) {
 	if freshPrep == oldPrep {
 		t.Fatal("recreated table served the dead table's preparation")
 	}
-	// Invalidating the DEAD table again must not touch the new entry...
 	e.Invalidate(old)
-	e.InvalidateSnapshot(oldSnap.ID())
-	if p, err := e.PrepareSnapshot(freshSnap); err != nil || p != freshPrep {
-		t.Fatalf("stale invalidation disturbed the live entry: %p vs %p (%v)", p, freshPrep, err)
-	}
-	// ...and invalidating the new table must not resurrect the old one.
 	e.Invalidate(fresh)
-	if st := e.Stats(); st.Entries != 0 {
-		t.Fatalf("entries = %d after invalidating recreate", st.Entries)
+	if p, err := e.PrepareSnapshot(freshSnap); err != nil || p != freshPrep {
+		t.Fatalf("the live table's preparation changed: %p vs %p (%v)", p, freshPrep, err)
 	}
-}
-
-// TestInvalidateSnapshotAfterSupersede covers InvalidateSnapshot on the
-// byOwner supersede path: once a newer snapshot of the same table is
-// cached, the older entry is gone, and invalidating the old ID is a no-op
-// that must not drop the newer entry. A late re-insert of the OLD snapshot
-// (a slow query finishing after a mutation) is cached by ID without
-// touching the owner index — Invalidate(table) then removes the latest
-// entry, and InvalidateSnapshot is what reclaims the late straggler.
-func TestInvalidateSnapshotAfterSupersede(t *testing.T) {
-	e := New(8)
-	tab := randomTable(rand.New(rand.NewSource(21)), 10, 0.3)
-	s1 := tab.Snapshot()
-	if _, err := e.PrepareSnapshot(s1); err != nil {
-		t.Fatal(err)
-	}
-	tab.AddIndependent("extra", 55, 0.5)
-	s2 := tab.Snapshot()
-	p2, err := e.PrepareSnapshot(s2) // supersedes s1's entry eagerly
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := e.Stats(); st.Entries != 1 {
-		t.Fatalf("entries = %d after supersede", st.Entries)
-	}
-	e.InvalidateSnapshot(s1.ID()) // stale ID: must be a no-op
-	if p, err := e.PrepareSnapshot(s2); err != nil || p != p2 {
-		t.Fatalf("stale InvalidateSnapshot dropped the live entry (%v)", err)
-	}
-
-	// Late straggler: the superseded snapshot is re-prepared after the
-	// fact (a slow query), landing in the cache by ID only.
-	if _, err := e.PrepareSnapshot(s1); err != nil {
-		t.Fatal(err)
-	}
-	if st := e.Stats(); st.Entries != 2 {
-		t.Fatalf("entries = %d with straggler", st.Entries)
-	}
-	// The owner index still points at the LATEST snapshot: invalidating
-	// the table removes s2's entry, not the straggler...
-	e.Invalidate(tab)
-	if p, err := e.PrepareSnapshot(s1); err != nil {
-		t.Fatal(err)
-	} else if st := e.Stats(); st.Entries != 1 || st.Hits == 0 && p == nil {
-		t.Fatalf("straggler lost with the owner entry: %+v", st)
-	}
-	// ...and InvalidateSnapshot reclaims the straggler by its own ID.
-	e.InvalidateSnapshot(s1.ID())
-	if st := e.Stats(); st.Entries != 0 {
-		t.Fatalf("entries = %d after reclaiming straggler", st.Entries)
+	if p, err := e.PrepareSnapshot(oldSnap); err != nil || p != oldPrep {
+		t.Fatalf("the dead table's snapshot lost its preparation: %p vs %p (%v)", p, oldPrep, err)
 	}
 }

@@ -85,7 +85,7 @@ func sameLines(t *testing.T, label string, prep, full *uncertain.Prepared, got, 
 // on tables whose tie groups and ME groups straddle the prefix end.
 func TestPrepareScanMatchesFullForm(t *testing.T) {
 	r := rand.New(rand.NewSource(16))
-	e := New(0)
+	e := New()
 	s := core.GetScratch()
 	defer core.PutScratch(s)
 	var queries, strict, tieCut, groupCut int
@@ -214,7 +214,7 @@ func TestPrepareScanFallsBack(t *testing.T) {
 	if want == nil {
 		t.Fatal("overfull group validated")
 	}
-	if _, err := New(0).PrepareScan(snap, []Query{{K: 1, Threshold: 0.01}}); err == nil || err.Error() != want.Error() {
+	if _, err := New().PrepareScan(snap, []Query{{K: 1, Threshold: 0.01}}); err == nil || err.Error() != want.Error() {
 		t.Fatalf("overfull view: err %v, want %v", err, want)
 	}
 
@@ -227,12 +227,12 @@ func TestPrepareScanFallsBack(t *testing.T) {
 		{"exact", viewSnapshot(t, tuples), Query{K: 1}},
 		{"no view", uncertain.NewSnapshot(tuples), Query{K: 1, Threshold: 0.01}},
 	} {
-		prep, err := New(0).PrepareScan(tc.snap, []Query{tc.q})
+		prep, err := New().PrepareScan(tc.snap, []Query{tc.q})
 		if err != nil || prep.Len() != len(tuples) {
 			t.Fatalf("%s: got %v (err %v), want the whole form", tc.name, prep, err)
 		}
 	}
-	if prep, _ := New(0).PrepareScan(viewSnapshot(t, tuples), []Query{{K: 1, Threshold: 0.01}}); prep.Len() >= len(tuples) {
+	if prep, _ := New().PrepareScan(viewSnapshot(t, tuples), []Query{{K: 1, Threshold: 0.01}}); prep.Len() >= len(tuples) {
 		t.Fatalf("valid view: got %v, want a strict prefix", prep)
 	}
 }

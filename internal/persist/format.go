@@ -199,8 +199,7 @@ func encodeTables(tables map[string][]uncertain.Tuple, shards int, wms []uint64)
 // decodeTables parses a snapshot file's full contents — either format
 // version. It is defensive — arbitrary bytes must produce an error, never
 // a panic or a huge allocation — but it does not validate the data model;
-// callers vet the tuples with uncertain.ValidateTuples before serving
-// them.
+// Open vets the tuples, as an upload is vetted, before serving them.
 func decodeTables(data []byte) (map[string][]uncertain.Tuple, snapMeta, error) {
 	var meta snapMeta
 	if len(data) < len(snapMagic)+4+4 {

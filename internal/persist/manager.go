@@ -152,16 +152,17 @@ func Open(dir string, opts Options) (*Manager, map[string]*uncertain.Table, erro
 		}
 		return nil, nil, err
 	}
-	state, meta, err := readSnapshotFile(dir)
+	checkpoint, meta, err := readSnapshotFile(dir)
 	if err != nil {
 		return fail(err)
 	}
-	for name, tuples := range state {
-		if err := uncertain.ValidateTuples(tuples); err != nil {
+	state := make(recovered, len(checkpoint))
+	for name, tuples := range checkpoint {
+		if err := state.put(name, tuples); err != nil {
 			return fail(fmt.Errorf("persist: snapshot table %q: %w", name, err))
 		}
 	}
-	apply := func(r wal.Record) error { return applyRecord(state, r) }
+	apply := state.apply
 	if meta.version == FormatVersion && meta.shards == nshards {
 		// The layout matches: open each shard's log at its watermark and
 		// replay the records behind it.
@@ -190,12 +191,8 @@ func Open(dir string, opts Options) (*Manager, map[string]*uncertain.Table, erro
 		return fail(err)
 	}
 	tables := make(map[string]*uncertain.Table, len(state))
-	for name, tuples := range state {
-		tab := uncertain.NewTable()
-		for _, tp := range tuples {
-			tab.Add(tp)
-		}
-		tables[name] = tab
+	for name, rt := range state {
+		tables[name] = rt.tab
 	}
 	return m, tables, nil
 }
@@ -237,7 +234,7 @@ func (m *Manager) mergeReplay(info wal.ReplayInfo) {
 // fresh segments are empty and harmless); after it the old layout's
 // remaining files are all below the new snapshot's watermarks — deleted
 // here, or by the next Open if we crash first.
-func (m *Manager) migrate(state map[string][]uncertain.Tuple, meta snapMeta, apply func(wal.Record) error) error {
+func (m *Manager) migrate(state recovered, meta snapMeta, apply func(wal.Record) error) error {
 	// 1. Replay the committed old layout in full. Records of one table all
 	// live in one old shard's log (ShardOf is deterministic), so replaying
 	// the old logs in index order applies every table's history in order.
@@ -319,7 +316,11 @@ func (m *Manager) migrate(state map[string][]uncertain.Tuple, meta snapMeta, app
 	}
 	// 3. Commit: the recovered state becomes a v2 snapshot under the new
 	// shard count. Counts as a checkpoint, so since stays zero.
-	if err := writeSnapshotFile(m.dir, state, m.nshards, wms, m.openFunc()); err != nil {
+	tables := make(map[string][]uncertain.Tuple, len(state))
+	for name, rt := range state {
+		tables[name] = rt.tab.Tuples()
+	}
+	if err := writeSnapshotFile(m.dir, tables, m.nshards, wms, m.openFunc()); err != nil {
 		return err
 	}
 	// 4. Only now is the old layout garbage. Drop reused shards' segments
@@ -367,34 +368,58 @@ func (m *Manager) openFunc() openFunc {
 	return defaultOpen
 }
 
-// applyRecord folds one WAL record into the recovered state. Any rejection
-// — an op that cannot apply, or contents that break the data-model
-// invariants — makes the replayer truncate the log at this record, so a
-// corrupt-but-checksummed record can never become a served table.
-func applyRecord(state map[string][]uncertain.Tuple, r wal.Record) error {
+// recoveredTable is one table as recovery rebuilds it, with the ledger its
+// appends are checked against: the rules the live path checked them under
+// before logging them (internal/server's appendTuples).
+type recoveredTable struct {
+	tab    *uncertain.Table
+	ledger *uncertain.Ledger
+}
+
+// recovered is the state Open rebuilds from the checkpoint and the WAL.
+type recovered map[string]recoveredTable
+
+// put installs name with the given contents, validated as an upload is:
+// the data-model invariants and unique tuple ids.
+func (rs recovered) put(name string, tuples []uncertain.Tuple) error {
+	tab := uncertain.NewTable()
+	for _, tp := range tuples {
+		tab.Add(tp)
+	}
+	ledger, err := uncertain.NewLedger(tab)
+	if err != nil {
+		return err
+	}
+	rs[name] = recoveredTable{tab: tab, ledger: ledger}
+	return nil
+}
+
+// apply folds one WAL record into the recovered state. Any rejection — an
+// op that cannot apply, or contents that break the data-model invariants or
+// repeat a tuple id — makes the replayer truncate the log at this record,
+// so a corrupt-but-checksummed record can never become a served table. An
+// append costs O(m) for m tuples: it is checked against the table's ledger
+// and extends the table in place.
+func (rs recovered) apply(r wal.Record) error {
 	switch r.Op {
 	case wal.OpPut:
-		cand := append([]uncertain.Tuple(nil), r.Tuples...)
-		if err := uncertain.ValidateTuples(cand); err != nil {
-			return err
-		}
-		state[r.Name] = cand
+		return rs.put(r.Name, r.Tuples)
 	case wal.OpAppend:
-		base, ok := state[r.Name]
+		rt, ok := rs[r.Name]
 		if !ok {
 			return fmt.Errorf("append to unknown table %q", r.Name)
 		}
-		cand := make([]uncertain.Tuple, 0, len(base)+len(r.Tuples))
-		cand = append(append(cand, base...), r.Tuples...)
-		if err := uncertain.ValidateTuples(cand); err != nil {
+		if err := rt.ledger.Check(r.Tuples); err != nil {
 			return err
 		}
-		state[r.Name] = cand
+		rt.ledger.Commit(r.Tuples)
+		rt.tab = rt.tab.Extend(r.Tuples)
+		rs[r.Name] = rt
 	case wal.OpDelete:
-		if _, ok := state[r.Name]; !ok {
+		if _, ok := rs[r.Name]; !ok {
 			return fmt.Errorf("delete of unknown table %q", r.Name)
 		}
-		delete(state, r.Name)
+		delete(rs, r.Name)
 	default:
 		return fmt.Errorf("unknown op %d", byte(r.Op))
 	}

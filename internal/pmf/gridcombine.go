@@ -1,6 +1,6 @@
 package pmf
 
-// CombineCoalesce fuses the distribution-merging step (Combine) with line
+// GridCombiner fuses the distribution-merging step (Combine) with line
 // coalescing on a δ-grid, for the dynamic program's inner loop.
 //
 // §3.2.1 of the paper bounds the accuracy loss of coalescing by the bucket
@@ -17,15 +17,10 @@ package pmf
 // probability-weighted mean of its members per mode; the representative
 // vector is the member with the highest (boundary-adjusted, see Combine)
 // vector probability. maxLines ≤ 0 falls back to exact CombineInto.
-func CombineCoalesce(dst *Dist, skip *Dist, skipFactor float64, take *Dist, branches []TakeBranch,
-	maxLines int, mode CoalesceMode, trackVectors bool, skipTrue func(bound float64) float64) *Dist {
-	var g GridCombiner
-	return g.Combine(dst, skip, skipFactor, take, branches, maxLines, mode, trackVectors, skipTrue)
-}
-
-// GridCombiner runs CombineCoalesce with a reusable cell buffer; the dynamic
-// program calls it once per cell, so per-call allocation would dominate. The
-// zero value is ready to use; not safe for concurrent use.
+//
+// A GridCombiner reuses its cell buffer across calls; the dynamic program
+// calls it once per cell, so per-call allocation would dominate. The zero
+// value is ready to use; not safe for concurrent use.
 //
 // The cell accumulators are parallel arrays (one slot per output grid cell):
 // the score/probability arrays are cleared on every call, while the five
@@ -78,8 +73,8 @@ func (g *GridCombiner) exact(dst *Dist, skip *Dist, skipFactor float64, take *Di
 	return out
 }
 
-// Combine is CombineCoalesce against the reusable buffer; see its
-// documentation.
+// Combine merges skip and the take branches into dst, coalescing on the
+// δ-grid as the GridCombiner documentation describes.
 func (g *GridCombiner) Combine(dst *Dist, skip *Dist, skipFactor float64, take *Dist, branches []TakeBranch,
 	maxLines int, mode CoalesceMode, trackVectors bool, skipTrue func(bound float64) float64) *Dist {
 	if maxLines <= 0 || len(branches) >= 16 {

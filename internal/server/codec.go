@@ -426,7 +426,7 @@ type CacheStatsJSON struct {
 	Invalidations uint64 `json:"invalidations,omitempty"`
 	Entries       int    `json:"entries"`
 	// SavedNanos sums the recorded recompute cost of every hit: the total
-	// latency the cache spared its callers (answer cache only).
+	// latency the cache spared its callers.
 	SavedNanos uint64 `json:"savedNs,omitempty"`
 }
 
@@ -517,8 +517,9 @@ type DurabilityJSON struct {
 type DynamicIndexJSON struct {
 	// Mutations counts O(log n) index mutations (tuple inserts/deletes).
 	Mutations uint64 `json:"mutations"`
-	// ViewPrepares counts engine preparations served by materializing a
-	// snapshot's attached index view instead of sorting from scratch.
+	// ViewPrepares counts the snapshots whose memoized prepared form was
+	// built by materializing their attached index view instead of sorting
+	// from scratch: at most one per snapshot.
 	ViewPrepares uint64 `json:"viewPrepares"`
 	// MemoHits counts materializations answered from an index's memo with no
 	// rebuild at all.
@@ -589,15 +590,10 @@ type ReplicationJSON struct {
 type StatsResponse struct {
 	Tables int `json:"tables"`
 	// Shards is the serving stack's shard count (registry, mutation
-	// mutexes, WAL shards, prepared-cache partitions).
+	// mutexes, WAL shards).
 	Shards int `json:"shards"`
 	// AnswerCache counts derived-answer (encoded JSON) cache traffic.
 	AnswerCache CacheStatsJSON `json:"answerCache"`
-	// PreparedCache counts the engine's prepared-table cache traffic.
-	PreparedCache CacheStatsJSON `json:"preparedCache"`
-	// PreparedCachePartitions is the per-partition entry count of the
-	// prepared cache.
-	PreparedCachePartitions []int `json:"preparedCachePartitions,omitempty"`
 	// EngineQueries aggregates the DP computations the engine ran.
 	EngineQueries LatencyJSON `json:"engineQueries"`
 	// DynamicIndex surfaces the dynamic prepared-index maintenance counters.

@@ -116,7 +116,7 @@ func (s *Server) installTable(name string, tab *probtopk.Table, logIt bool) (*ta
 	if err != nil {
 		return nil, false, err
 	}
-	var published, replaced *tableState
+	var created bool
 	if s.durable != nil && logIt {
 		shard := s.shardOf(name)
 		s.durMu[shard].Lock()
@@ -124,22 +124,19 @@ func (s *Server) installTable(name string, tab *probtopk.Table, logIt bool) (*ta
 			s.durMu[shard].Unlock()
 			return nil, false, &durabilityError{err}
 		}
-		published, replaced = s.reg.put(name, h)
+		created = s.reg.put(name, h)
 		s.durMu[shard].Unlock()
 	} else {
-		published, replaced = s.reg.put(name, h)
+		created = s.reg.put(name, h)
 	}
 	s.cache.InvalidateTable(name)
-	if replaced != nil {
-		s.engine.Invalidate(replaced.tab)
-	}
 	if logIt {
 		// Never on the restore path: mid-boot the registry holds only the
 		// tables restored so far, and a checkpoint would truncate the WAL
 		// against that partial state.
 		s.maybeCheckpoint()
 	}
-	return published, replaced == nil, nil
+	return h.st, created, nil
 }
 
 // durabilityError marks a mutation rejected because it could not be made
@@ -270,7 +267,6 @@ func (s *Server) handleDeleteTable(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	name := r.PathValue("name")
-	var st *tableState
 	var ok bool
 	if s.durable != nil {
 		// Log before removing, under the table's shard durability mutex:
@@ -288,17 +284,16 @@ func (s *Server) handleDeleteTable(w http.ResponseWriter, r *http.Request) {
 			s.writeMutationError(w, &durabilityError{err})
 			return
 		}
-		st, ok = s.reg.remove(name)
+		ok = s.reg.remove(name)
 		s.durMu[shard].Unlock()
 	} else {
-		st, ok = s.reg.remove(name)
+		ok = s.reg.remove(name)
 	}
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no table %q", name))
 		return
 	}
 	s.cache.InvalidateTable(name)
-	s.engine.Invalidate(st.tab)
 	s.maybeCheckpoint()
 	w.WriteHeader(http.StatusNoContent)
 }
@@ -416,7 +411,6 @@ func (s *Server) appendTuples(name string, tuples []probtopk.Tuple, logIt bool) 
 	e.state.Store(next)
 	unlock()
 	s.cache.InvalidateTable(name) // reclaims the old snapshot's entries
-	s.engine.Invalidate(old.tab)
 	if logIt {
 		s.maybeCheckpoint()
 	}

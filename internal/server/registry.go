@@ -172,12 +172,10 @@ func (r *registry) acquireMutate(name string) (*tableEntry, *tableState, bool) {
 	}
 }
 
-// put installs the pre-built table under name, replacing any previous
-// table. It returns the newly published state and the replaced one (nil if
-// the name is new, so the caller can release cache entries derived from
-// it). h comes from newHostedTable, built by the caller outside the
-// registry locks.
-func (r *registry) put(name string, h *hostedTable) (published, replaced *tableState) {
+// put publishes the pre-built table under name, replacing any previous
+// table, and reports whether the name was new. h comes from
+// newHostedTable, built by the caller outside the registry locks.
+func (r *registry) put(name string, h *hostedTable) (created bool) {
 	sh := r.shard(name)
 	for {
 		sh.mu.Lock()
@@ -187,7 +185,7 @@ func (r *registry) put(name string, h *hostedTable) (published, replaced *tableS
 			e.state.Store(h.st)
 			sh.tables[name] = e
 			sh.mu.Unlock()
-			return h.st, nil
+			return true
 		}
 		sh.mu.Unlock()
 		// Replace under the entry's mutation lock (serializing against
@@ -202,29 +200,23 @@ func (r *registry) put(name string, h *hostedTable) (published, replaced *tableS
 			e.mu.Unlock()
 			continue
 		}
-		replaced = e.state.Load()
 		e.idx, e.ledger = h.idx, h.ledger
 		e.state.Store(h.st)
 		e.mu.Unlock()
-		return h.st, replaced
+		return false
 	}
 }
 
-// remove deletes name, returning the removed state. It never waits:
+// remove deletes name, reporting whether it was hosted. It never waits:
 // in-flight queries over the removed table finish against the immutable
 // state they already hold.
-func (r *registry) remove(name string) (*tableState, bool) {
+func (r *registry) remove(name string) bool {
 	sh := r.shard(name)
 	sh.mu.Lock()
-	e, ok := sh.tables[name]
-	if ok {
-		delete(sh.tables, name)
-	}
+	_, ok := sh.tables[name]
+	delete(sh.tables, name)
 	sh.mu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	return e.state.Load(), true
+	return ok
 }
 
 // names returns every hosted table name, sorted.

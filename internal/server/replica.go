@@ -74,11 +74,9 @@ func (s *Server) ApplyAppend(name string, tuples []probtopk.Tuple) error {
 // ApplyDelete applies a replicated delete record (or a shard reset's
 // table drop).
 func (s *Server) ApplyDelete(name string) error {
-	st, ok := s.reg.remove(name)
-	if !ok {
+	if !s.reg.remove(name) {
 		return fmt.Errorf("no table %q", name)
 	}
 	s.cache.InvalidateTable(name)
-	s.engine.Invalidate(st.tab)
 	return nil
 }

@@ -46,8 +46,10 @@
 // never-reused identity, so a hit can never be stale — even across
 // delete/recreate cycles and however cache fills race with mutations —
 // while the eager invalidation on mutation reclaims the dead entries' LRU
-// slots. GET /debug/stats exposes hit/miss/latency counters for both this
-// cache and the engine's prepared-snapshot cache.
+// slots. GET /debug/stats exposes this cache's hit/miss/latency counters.
+// Below it, each snapshot memoizes its own prepared form
+// (probtopk.Snapshot.Prepare), built once from the snapshot's index view:
+// the engine keeps no cache of its own, so mutations release nothing there.
 //
 // # Durability
 //
@@ -68,16 +70,13 @@
 //
 // Config.Shards splits the serving stack N ways: the registry map, the
 // mutation/durability mutex and the WAL (one segment sequence per shard)
-// are sharded by table name (shard = persist.ShardOf(name, N), fnv32a),
-// and the engine's prepared cache is split into N partitions of its own,
-// routed by table identity — a different key, so a cache partition does
-// not correspond to a registry shard. A mutation holds only its own
-// shard's durability mutex across check+log+publish, so durable
-// mutations of tables on different shards never serialize against each
-// other; a checkpoint visits shards one at a time and writes the snapshot
-// file with no mutation lock held. Queries hold no lock at any shard
-// count and answers are byte-identical. GET /debug/stats breaks the WAL
-// and cache counters down per shard.
+// are sharded by table name (shard = persist.ShardOf(name, N), fnv32a). A
+// mutation holds only its own shard's durability mutex across
+// check+log+publish, so durable mutations of tables on different shards
+// never serialize against each other; a checkpoint visits shards one at a
+// time and writes the snapshot file with no mutation lock held. Queries
+// hold no lock at any shard count and answers are byte-identical. GET
+// /debug/stats breaks the WAL counters down per shard.
 package server
 
 import (
@@ -109,12 +108,8 @@ type Config struct {
 	// DefaultAnswerCacheSize, negative disables the cache (every query
 	// recomputes — the benchmark baseline).
 	AnswerCacheSize int
-	// EngineCacheSize bounds the engine's prepared-table cache: 0 means
-	// probtopk.DefaultEngineCacheSize, negative disables it.
-	EngineCacheSize int
 	// Shards splits the serving stack N ways: the registry map and the
-	// mutation/durability mutex by table name (persist.ShardOf), and the
-	// engine's prepared cache into N identity-routed partitions. Mutations
+	// mutation/durability mutex by table name (persist.ShardOf). Mutations
 	// — durable or not — of tables on different shards never serialize
 	// against each other; queries are lock-free regardless and are
 	// unaffected. <= 1 means one shard (the historical behavior). When
@@ -203,7 +198,7 @@ type Server struct {
 	// proceed in parallel; queries never touch any of them. Without a
 	// durability backend the mutexes are unused (publication is just the
 	// atomic swap under the entry lock), but nshards still shards the
-	// registry map and the engine's cache partitions.
+	// registry map.
 	durable *persist.Manager
 	nshards int
 	durMu   []sync.RWMutex
@@ -235,10 +230,6 @@ func New(cfg Config) *Server {
 	if answerCap == 0 {
 		answerCap = DefaultAnswerCacheSize
 	}
-	engineCap := cfg.EngineCacheSize
-	if engineCap == 0 {
-		engineCap = probtopk.DefaultEngineCacheSize
-	}
 	nshards := cfg.Shards
 	if nshards < 1 {
 		nshards = 1
@@ -250,7 +241,7 @@ func New(cfg Config) *Server {
 		nshards = cfg.Durability.Shards()
 	}
 	s := &Server{
-		engine:     probtopk.NewEngineSharded(engineCap, nshards),
+		engine:     probtopk.NewEngine(),
 		reg:        newRegistry(nshards),
 		cache:      anscache.New(answerCap),
 		mux:        http.NewServeMux(),
@@ -397,12 +388,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Invalidations: ans.Invalidations, Entries: ans.Entries,
 			SavedNanos: ans.SavedNanos,
 		},
-		PreparedCache: CacheStatsJSON{
-			Hits: eng.Hits, Misses: eng.Misses, Evictions: eng.Evictions,
-			Entries: eng.Entries,
-		},
-		PreparedCachePartitions: eng.PartitionEntries,
-		EngineQueries:           LatencyJSON{Count: eng.Queries, TotalNs: uint64(eng.QueryTime)},
+		EngineQueries: LatencyJSON{Count: eng.Queries, TotalNs: uint64(eng.QueryTime)},
 		DynamicIndex: DynamicIndexJSON{
 			Mutations:      eng.IndexMutations,
 			ViewPrepares:   eng.ViewPrepares,

@@ -509,8 +509,8 @@ func TestStatsShapeIsStable(t *testing.T) {
 	if st.Tables != 1 {
 		t.Fatalf("tables = %d", st.Tables)
 	}
-	if st.PreparedCache.Misses == 0 {
-		t.Fatalf("engine cache counters not plumbed: %+v", st.PreparedCache)
+	if st.DynamicIndex.Mutations == 0 {
+		t.Fatalf("dynamic-index counters not plumbed: %+v", st.DynamicIndex)
 	}
 	if st.EngineQueries.Count == 0 || st.EngineQueries.TotalNs == 0 {
 		t.Fatalf("engine query counters not plumbed: %+v", st.EngineQueries)

@@ -136,15 +136,11 @@ func TestShardedStats(t *testing.T) {
 	if got := stats.Durability.WALRecords; got != 2 {
 		t.Fatalf("aggregate WAL records = %d, want 2", got)
 	}
-	if len(stats.PreparedCachePartitions) != 4 {
-		t.Fatalf("prepared cache partitions = %v", stats.PreparedCachePartitions)
-	}
 }
 
 // TestShardedConcurrentMutateQuery hammers a 4-shard non-durable server
 // with concurrent uploads, appends, deletes and queries across tables on
-// every shard — race-detector fodder for the sharded registry and
-// partitioned engine cache.
+// every shard — race-detector fodder for the sharded registry.
 func TestShardedConcurrentMutateQuery(t *testing.T) {
 	s := New(Config{Shards: 4})
 	names := shardSpread(t, 4)

@@ -48,8 +48,8 @@ type Window struct {
 	idx *uncertain.Index
 
 	// frozen memoizes the snapshot published by Freeze; nil after any Push,
-	// so an unchanged window keeps handing out one identity (and the engine
-	// cache keeps hitting), mirroring Table.Snapshot's copy-on-write.
+	// so an unchanged window keeps handing out one identity (and one
+	// prepared-form memo), mirroring Table.Snapshot's copy-on-write.
 	frozen *uncertain.Snapshot
 }
 
@@ -226,15 +226,15 @@ func (w *Window) Snapshot() []uncertain.Tuple { return w.idx.Tuples() }
 // Freeze publishes the current window contents as an immutable
 // uncertain.Snapshot (in rank order), with the window's frozen IndexView
 // attached: the index's tree is persistent, so freezing is O(1) structural
-// work plus one walk to list the tuples — no re-preparation — and an engine
-// that later needs the Prepared form materializes it from the view (sharing
-// the window's own memo when the window was already materialized).
+// work plus one walk to list the tuples — no re-preparation — and the
+// snapshot's Prepare materializes its Prepared form from the view, once
+// (sharing the window's own memo when the window was already materialized).
 //
 // The window is single-owner, but the returned snapshot is not: it can be
-// queried through an Engine from any goroutine — and cached under its
-// identity — while the owner keeps pushing. An unchanged window returns the
-// same snapshot on every call (so engine caches keep hitting); a Push clears
-// the memo and the next Freeze mints a fresh identity. The frozen contents
+// queried through an Engine from any goroutine while the owner keeps
+// pushing. An unchanged window returns the same snapshot on every call (so
+// its prepared form is built once); a Push clears the memo and the next
+// Freeze mints a fresh identity. The frozen contents
 // are validated, so an overfull in-window ME group surfaces here, like at
 // query time.
 func (w *Window) Freeze() (*uncertain.Snapshot, error) {

@@ -302,12 +302,16 @@ type IndexStats struct {
 	// built for thresholded scans instead of the whole Prepared form (see
 	// IndexView.MaterializePrefix). Tracked in the process-wide totals only.
 	PrefixMaterializations uint64
+	// ViewPrepares is the number of snapshots whose memoized Prepare was
+	// served by their attached view instead of a from-scratch sort: at most
+	// one per snapshot. Tracked in the process-wide totals only.
+	ViewPrepares uint64
 }
 
 // indexTotals aggregates IndexStats across every Index in the process, so
 // serving layers can surface the counters without tracking index ownership.
 var indexTotals struct {
-	mutations, memoHits, suffixMat, fullMat, viewMat, prefixMat atomic.Uint64
+	mutations, memoHits, suffixMat, fullMat, viewMat, prefixMat, viewPrepares atomic.Uint64
 }
 
 // IndexTotals returns the process-wide IndexStats aggregated over all
@@ -320,6 +324,7 @@ func IndexTotals() IndexStats {
 		FullMaterializations:   indexTotals.fullMat.Load(),
 		ViewMaterializations:   indexTotals.viewMat.Load(),
 		PrefixMaterializations: indexTotals.prefixMat.Load(),
+		ViewPrepares:           indexTotals.viewPrepares.Load(),
 	}
 }
 

@@ -1,6 +1,9 @@
 package uncertain
 
-import "sync/atomic"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // snapshotIDs mints process-unique snapshot identities. IDs start at 1 so 0
 // is never a valid identity, and they are monotonically increasing, so among
@@ -33,10 +36,16 @@ type Snapshot struct {
 	tuples []Tuple
 	// view is an advisory accelerator: a frozen IndexView over the same
 	// contents, attached once by whoever maintains a dynamic Index for the
-	// table (the sliding window, the server's mutate path). Consumers that
-	// need the Prepared form may materialize from it — sharing the index's
-	// suffix-reuse and memoized Prepared — instead of sorting from scratch.
+	// table (the sliding window, the server's mutate path). Prepare
+	// materializes from it — sharing the index's suffix reuse and memoized
+	// Prepared — instead of sorting from scratch.
 	view atomic.Pointer[IndexView]
+
+	// prepOnce memoizes Prepare: the contents are immutable, so its result,
+	// error included, is too.
+	prepOnce sync.Once
+	prep     *Prepared
+	prepErr  error
 }
 
 // NewSnapshot freezes a copy of the given tuples (in insertion order) as a
@@ -66,8 +75,7 @@ func OwnSnapshot(tuples []Tuple) *Snapshot {
 func (s *Snapshot) ID() uint64 { return s.id }
 
 // Owner returns the identity of the table this snapshot was taken from (see
-// Table.Identity). Successive snapshots of one table share an owner, which
-// lets caches eagerly drop entries for that table's superseded states.
+// Table.Identity). Successive snapshots of one table share an owner.
 func (s *Snapshot) Owner() uint64 { return s.owner }
 
 // Len returns the number of tuples.
@@ -96,17 +104,34 @@ func (s *Snapshot) Table() *Table {
 	return t
 }
 
-// Prepare validates and sorts the frozen contents, returning the derived
-// structure the query algorithms need — the snapshot-native form of the
-// package-level Prepare. It never mutates the snapshot and is safe to call
-// concurrently. Consumers that cache preparations (the engine) should try
-// IndexView first.
-func (s *Snapshot) Prepare() (*Prepared, error) { return prepareTuples(s.tuples) }
+// Prepare returns the derived structure the query algorithms need — the
+// snapshot-native form of the package-level Prepare — computing it at most
+// once per snapshot: every call, from any goroutine, returns the same
+// *Prepared, so its memoized unit decomposition is shared too. A snapshot
+// with an attached index view materializes from the view; otherwise, or
+// when the view rejects the contents, the frozen contents are validated
+// and sorted, so an invalid snapshot reports the same error either way.
+// The memo lives and dies with the snapshot.
+func (s *Snapshot) Prepare() (*Prepared, error) {
+	s.prepOnce.Do(func() {
+		if v := s.view.Load(); v != nil {
+			if p, err := v.Materialize(); err == nil {
+				s.prep = p
+				indexTotals.viewPrepares.Add(1)
+				return
+			}
+		}
+		s.prep, s.prepErr = prepareTuples(s.tuples)
+	})
+	return s.prep, s.prepErr
+}
 
 // SetIndexView attaches a frozen dynamic-index view over the same contents
 // as an advisory accelerator; see Snapshot.view. It is set-once: the first
 // caller wins and later calls are no-ops, so a published snapshot's view
 // never changes. A view whose length disagrees with the snapshot is refused.
+// Attach it before publishing the snapshot: Prepare consults the view only
+// on its first call.
 func (s *Snapshot) SetIndexView(v *IndexView) {
 	if v == nil || v.Len() != len(s.tuples) {
 		return
@@ -116,6 +141,7 @@ func (s *Snapshot) SetIndexView(v *IndexView) {
 
 // IndexView returns the attached dynamic-index view, or nil. The view holds
 // the same tuples as the snapshot (in canonical rank order rather than
-// insertion order — query answers are identical either way), so a consumer
-// may materialize its Prepared form from the view instead of re-sorting.
+// insertion order — query answers are identical either way); Prepare
+// materializes from it, and thresholded scans may use just its rank prefix
+// (IndexView.MaterializePrefix).
 func (s *Snapshot) IndexView() *IndexView { return s.view.Load() }

@@ -230,3 +230,96 @@ func TestSnapshotTableRoundTrip(t *testing.T) {
 		t.Fatal("NewSnapshot aliased its input")
 	}
 }
+
+// TestSnapshotPrepareOnce: Prepare is memoized per snapshot. Many
+// goroutines get one *Prepared, whether the snapshot sorts its contents or
+// materializes them from an attached index view, and a view-backed
+// snapshot counts one view prepare however often it is prepared. Run under
+// -race.
+func TestSnapshotPrepareOnce(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	tuples := make([]Tuple, 40)
+	for i := range tuples {
+		tuples[i] = Tuple{ID: fmt.Sprintf("t%d", i), Score: float64(r.Intn(20)), Prob: 0.1 + 0.8*r.Float64()}
+	}
+	ix, err := NewIndexOf(tuples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	viewed := NewSnapshot(tuples)
+	viewed.SetIndexView(ix.Freeze())
+	for _, c := range []struct {
+		name  string
+		s     *Snapshot
+		views uint64
+	}{
+		{"sorted", NewSnapshot(tuples), 0},
+		{"view", viewed, 1},
+	} {
+		before := IndexTotals().ViewPrepares
+		got := make([]*Prepared, 16)
+		var wg sync.WaitGroup
+		for g := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				p, err := c.s.Prepare()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[g] = p
+			}()
+		}
+		wg.Wait()
+		for g, p := range got {
+			if p == nil || p != got[0] {
+				t.Fatalf("%s: goroutine %d got %p, goroutine 0 got %p", c.name, g, p, got[0])
+			}
+		}
+		if got[0].Len() != len(tuples) {
+			t.Fatalf("%s: prepared %d tuples, want %d", c.name, got[0].Len(), len(tuples))
+		}
+		if d := IndexTotals().ViewPrepares - before; d != c.views {
+			t.Fatalf("%s: %d view prepares, want %d", c.name, d, c.views)
+		}
+	}
+	fromView, err := viewed.IndexView().Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, _ := viewed.Prepare(); p != fromView {
+		t.Fatal("a view-backed snapshot must share the view's Prepared")
+	}
+}
+
+// TestSnapshotPrepareViewRejects: when the attached view cannot materialize
+// the contents (an overfull ME group, which an Index admits until query
+// time, like the sliding window built on it), Prepare falls back to the
+// sort path, so it reports the error a snapshot without a view reports.
+// The view sums the group in rank order and the sort path in insertion
+// order, so here the two error texts differ.
+func TestSnapshotPrepareViewRejects(t *testing.T) {
+	tuples := []Tuple{
+		{ID: "a", Score: 1, Prob: 0.7, Group: "g"},
+		{ID: "b", Score: 3, Prob: 0.2, Group: "g"},
+		{ID: "c", Score: 2, Prob: 0.2, Group: "g"},
+	}
+	ix, err := NewIndexOf(tuples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSnapshot(tuples)
+	s.SetIndexView(ix.Freeze())
+	_, want := NewSnapshot(tuples).Prepare()
+	if _, err := s.IndexView().Materialize(); err == nil || want == nil || err.Error() == want.Error() {
+		t.Fatalf("precondition: the view and the sort path must reject the overfull group with different texts: %v, %v", err, want)
+	}
+	p, got := s.Prepare()
+	if got == nil || p != nil || got.Error() != want.Error() {
+		t.Fatalf("Prepare = %v, %v; want the sort path's error %v", p, got, want)
+	}
+	if _, again := s.Prepare(); again != got {
+		t.Fatalf("the error is not memoized: %v then %v", got, again)
+	}
+}

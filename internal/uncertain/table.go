@@ -83,8 +83,9 @@ func (t *Table) Version() uint64 { return t.version }
 
 // Identity returns the table's process-unique identity, minted on first use
 // and stable for the table's lifetime. Unlike the pointer, an identity is
-// never reused within a process, and a Clone gets its own; caches use it to
-// recognise "a later state of the same table" without risking collisions.
+// never reused within a process, and a Clone gets its own, so it
+// recognises "a later state of the same table" (Snapshot.Owner) without
+// risking collisions.
 func (t *Table) Identity() uint64 {
 	if id := t.id.Load(); id != 0 {
 		return id
@@ -296,12 +297,6 @@ func (l *Ledger) Commit(tps []Tuple) {
 	}
 	l.n += len(tps)
 }
-
-// ValidateTuples checks the data-model invariants on a raw tuple slice —
-// the same rules as Table.Validate — without requiring a Table. Replay
-// paths (internal/persist) use it to vet recovered contents before they
-// become live tables.
-func ValidateTuples(tuples []Tuple) error { return validateTuples(tuples) }
 
 // validateTuples checks the data-model invariants on a tuple slice; shared
 // by Table.Validate and Snapshot.Validate.

@@ -24,10 +24,10 @@ type Table = uncertain.Table
 // tuples with NewSnapshot). Snapshots are the unit of isolation for
 // concurrent serving: a query over a Snapshot holds no lock and sees
 // exactly the state the snapshot was taken from, while the owning table
-// keeps mutating. Unchanged tables hand out the same snapshot, so the
-// engine's prepared cache — keyed by Snapshot.ID — still hits across
-// repeated queries; a mutation lazily mints a fresh snapshot (copy-on-write,
-// no tuple copying) whose new identity transparently invalidates.
+// keeps mutating. Each snapshot memoizes its prepared form on first use
+// (Snapshot.Prepare), and unchanged tables hand out the same snapshot, so
+// repeated queries prepare once; a mutation lazily mints a fresh snapshot
+// (copy-on-write, no tuple copying) with a fresh memo.
 type Snapshot = uncertain.Snapshot
 
 // NewSnapshot freezes a copy of the given tuples as a standalone snapshot
@@ -182,10 +182,9 @@ var ErrNilSnapshot = errors.New("probtopk: nil snapshot")
 // vectors of t. A nil opts uses the defaults documented on Options.
 //
 // Queries route through the package's shared default Engine: t's current
-// snapshot is taken and its prepared form cached against the snapshot's
-// identity, so repeated queries over an unchanged table skip preparation,
-// and per-query scratch is pooled. Results are identical to an uncached
-// computation.
+// snapshot is taken and its prepared form memoized on the snapshot, so
+// repeated queries over an unchanged table skip preparation, and per-query
+// scratch is pooled. Results are identical to a from-scratch computation.
 func TopKDistribution(t *Table, k int, opts *Options) (*Distribution, error) {
 	return defaultEngine.TopKDistribution(t, k, opts)
 }

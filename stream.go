@@ -56,9 +56,9 @@ func (s *Stream) Tuples() []Tuple { return s.w.Snapshot() }
 // with a fresh identity. The Stream itself is single-owner, but the
 // returned snapshot is not: hand it to an Engine (TopKDistributionSnapshot,
 // the baseline semantics, batches) from any goroutine while the owner keeps
-// pushing — the frozen contents never change, and the engine caches the
-// preparation under the snapshot's identity. This is the bridge from the
-// streaming window to the concurrent serving layer.
+// pushing — the frozen contents never change, and the snapshot memoizes
+// its prepared form, built from the window's index. This is the bridge from
+// the streaming window to the concurrent serving layer.
 func (s *Stream) Freeze() (*Snapshot, error) { return s.w.Freeze() }
 
 // StreamStats counts a Stream's dynamic-index maintenance: how pushes and
