@@ -19,9 +19,10 @@
 // TopKDistribution returns that random variable's full probability mass
 // function — the paper's central object — computed with a dynamic program
 // that is linear in the scan depth, handles ME groups via rule-tuple
-// compression and per-unit exit points, handles non-injective (tied) scoring
-// functions, and bounds its output size with the paper's line-coalescing
-// strategy. Each distribution line also carries the most probable top-k
+// compression and per-unit exit points (one bottom-up sweep runs the rows
+// the units share, each unit only the rows below its join point), handles
+// non-injective (tied) scoring functions, and bounds its output size with
+// the paper's line-coalescing strategy. Each distribution line also carries the most probable top-k
 // vector achieving that score.
 //
 // Typical selects the c-Typical-Topk answers (Definitions 1 and 2): the c

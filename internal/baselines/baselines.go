@@ -56,28 +56,18 @@ func UTopkLine(d *pmf.Dist) (pmf.Line, bool) { return d.MaxVecProbLine() }
 // the tuple under consideration). The returned slice is truncated at maxCount
 // with the tail mass accumulated in the last entry.
 func higherRankCounts(p *uncertain.Prepared, i, skipGroup, maxCount int) []float64 {
-	// Bernoulli success probability per group: the chance some member at a
-	// position < i appears. Groups are independent; members are exclusive,
-	// so each group contributes at most one tuple.
-	var masses []float64
-	seen := make(map[int]float64)
-	order := make([]int, 0, i)
-	for pos := 0; pos < i; pos++ {
-		g := p.Tuples[pos].Group
-		if g == skipGroup {
-			continue
-		}
-		if _, ok := seen[g]; !ok {
-			order = append(order, g)
-		}
-		seen[g] += p.Tuples[pos].Prob
-	}
-	for _, g := range order {
-		masses = append(masses, seen[g])
-	}
 	counts := make([]float64, maxCount+1)
 	counts[0] = 1
-	for _, m := range masses {
+	// One Bernoulli trial per group with a member above i, in the order of
+	// the groups' first members: its success probability is the chance some
+	// member at a position < i appears. Groups are independent; members are
+	// exclusive, so each group contributes at most one tuple.
+	for pos := 0; pos < i; pos++ {
+		tp := p.Tuples[pos]
+		if !tp.Lead || tp.Group == skipGroup {
+			continue
+		}
+		m := p.PrefixMass(tp.Group, i)
 		for c := maxCount; c >= 0; c-- {
 			moved := counts[c] * m
 			counts[c] -= moved

@@ -293,3 +293,73 @@ func TestKValidation(t *testing.T) {
 		t.Fatal("k=0 should error")
 	}
 }
+
+// mapHigherRankCounts is higherRankCounts as it was written before it read
+// the prepared per-group prefix masses: it summed each group's members above
+// i into a map, in rank order.
+func mapHigherRankCounts(p *uncertain.Prepared, i, skipGroup, maxCount int) []float64 {
+	var masses []float64
+	seen := make(map[int]float64)
+	order := make([]int, 0, i)
+	for pos := 0; pos < i; pos++ {
+		g := p.Tuples[pos].Group
+		if g == skipGroup {
+			continue
+		}
+		if _, ok := seen[g]; !ok {
+			order = append(order, g)
+		}
+		seen[g] += p.Tuples[pos].Prob
+	}
+	for _, g := range order {
+		masses = append(masses, seen[g])
+	}
+	counts := make([]float64, maxCount+1)
+	counts[0] = 1
+	for _, m := range masses {
+		for c := maxCount; c >= 0; c-- {
+			moved := counts[c] * m
+			counts[c] -= moved
+			if c < maxCount {
+				counts[c+1] += moved
+			} else {
+				counts[c] += moved
+			}
+		}
+	}
+	return counts
+}
+
+// TestHigherRankCountsBitIdentical: reading the prefix masses gives the
+// map-based counts bit for bit, on random tables with heavy ties and ME
+// groups, for every position and the skip groups InTopkProbs and RankProbs
+// use (the tuple's own group) as well as none.
+func TestHigherRankCountsBitIdentical(t *testing.T) {
+	r := rand.New(rand.NewSource(53))
+	for trial := 0; trial < 300; trial++ {
+		tab := uncertain.NewTable()
+		n := 1 + r.Intn(30)
+		for i := 0; i < n; i++ {
+			group := ""
+			if r.Float64() < 0.6 {
+				group = string(rune('a' + r.Intn(6)))
+			}
+			tab.Add(uncertain.Tuple{ID: "t", Score: float64(r.Intn(5)), Prob: 0.01 + 0.15*r.Float64(), Group: group})
+		}
+		if tab.Validate() != nil {
+			continue
+		}
+		p := prep(t, tab)
+		k := 1 + r.Intn(6)
+		for i := 0; i < p.Len(); i++ {
+			for _, skip := range []int{p.Tuples[i].Group, -1} {
+				got, want := higherRankCounts(p, i, skip, k), mapHigherRankCounts(p, i, skip, k)
+				for c := range want {
+					if math.Float64bits(got[c]) != math.Float64bits(want[c]) {
+						t.Fatalf("trial %d position %d skip %d: counts %v, map-based %v", trial, i, skip, got, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -7,6 +7,9 @@
 //     exclusive tuples via rule tuples, blocked exit points and per-unit runs
 //     (§3.3), and to score ties via the (score, probability) sort order
 //     (§3.4). O(kmn) with constant-size distributions after line coalescing.
+//     The units' runs share the rows above their join points: one bottom-up
+//     sweep runs those rows once for all units, and each unit runs only its
+//     private rows below.
 //   - StateExpansion — the naive state-space expansion of Figure 4,
 //     exponential in the scan depth, kept exact under ME rules by telescoping
 //     conditional skip/take factors.
@@ -50,12 +53,13 @@ type Params struct {
 	// MaxStates guards the naive algorithms; 0 uses DefaultMaxStates.
 	MaxStates int
 	// Parallelism is the number of goroutines the main algorithm may use to
-	// process dynamic-programming units concurrently (they are independent;
-	// the per-unit distributions merge deterministically in unit order, so
-	// the result is bit-identical to serial execution).
+	// run the units' private rows concurrently (they are independent). The
+	// shared sweep then folds the units' partial columns in a fixed order —
+	// join point descending, then unit order — whoever computed them, so the
+	// result is bit-identical to serial execution.
 	//
-	// 0 auto-tunes: queries whose estimated DP work (scan depth × K) is
-	// large enough fan out over min(GOMAXPROCS, units) workers, small
+	// 0 auto-tunes: queries whose private rows hold enough estimated cells
+	// (autoParallelWork) fan out over min(GOMAXPROCS, units) workers, other
 	// queries run serially (worker hand-off would cost more than it saves).
 	// 1 or negative forces serial execution; values ≥ 2 set the worker
 	// count explicitly.
@@ -94,11 +98,14 @@ type Result struct {
 	Dist *pmf.Dist
 	// ScanDepth is the number of tuples n examined (Theorem 2).
 	ScanDepth int
-	// Units is the number of dynamic-programming runs (lead-tuple regions
-	// plus non-lead tuples) performed by the main algorithm.
+	// Units is the number of dynamic-programming units (lead-tuple regions
+	// plus non-lead tuples) of the main algorithm; each runs its private
+	// rows, and the shared sweep runs the rest once for all of them.
 	Units int
-	// Cells counts DP cell computations (main algorithm), expanded states
-	// (StateExpansion), or enumerated combinations (KCombo).
+	// Cells counts the Combine calls the main algorithm actually made —
+	// columns that cannot reach k, or whose sources are both empty, are not
+	// computed and not counted — or expanded states (StateExpansion), or
+	// enumerated combinations (KCombo).
 	Cells int
 }
 

@@ -31,6 +31,23 @@ type Scratch struct {
 	// before returning, so the hundreds of thousands of intermediate nodes
 	// per query never reach the garbage collector.
 	arena pmf.VectorArena
+
+	// Reused buffers of the sweep: the planned units, one unit's rows, the
+	// shared row being swept, their take branches, the sweep's and one
+	// unit's columns, and the final columns to merge.
+	plan     []plannedUnit
+	rows     []row
+	shared   row
+	branches []pmf.TakeBranch
+	sum      []*pmf.Dist
+	unit     []*pmf.Dist
+	finals   []*pmf.Dist
+
+	// cur is the row being applied; skipTrue is its boundary-aware skip
+	// factor, bound once per Scratch so that applying a row allocates no
+	// closure.
+	cur      *row
+	skipTrue func(bound float64) float64
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
@@ -73,4 +90,14 @@ func (s *Scratch) exitPoint() *pmf.Dist {
 		s.exit = pmf.PointVec(0, 1, nil, 1)
 	}
 	return s.exit
+}
+
+// columns returns buf resized to the k+1 columns of a DP and emptied.
+func columns(buf []*pmf.Dist, k int) []*pmf.Dist {
+	if cap(buf) < k+1 {
+		return make([]*pmf.Dist, k+1)
+	}
+	buf = buf[:k+1]
+	clear(buf)
+	return buf
 }

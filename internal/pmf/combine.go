@@ -173,24 +173,39 @@ func Merge(a, b *Dist) *Dist {
 	if b == nil || len(b.scores) == 0 {
 		return a.Clone()
 	}
-	out := &Dist{hasVec: a.hasVec || b.hasVec}
+	return MergeInto(nil, a, b)
+}
+
+// MergeInto is Merge of two non-nil distributions into dst's line storage
+// (a fresh distribution when dst is nil). dst must be neither a nor b. Lines
+// closer than Eps combine as in Merge: probabilities add and the more
+// probable representative vector stays.
+func MergeInto(dst, a, b *Dist) *Dist {
+	out := dst
+	if out == nil {
+		out = New()
+	}
+	out.reset(a.hasVec || b.hasVec)
 	out.ensureCap(len(a.scores) + len(b.scores))
 	i, j := 0, 0
 	for i < len(a.scores) || j < len(b.scores) {
-		switch {
-		case i >= len(a.scores):
-			out.appendCombine(b.Line(j))
-			j++
-		case j >= len(b.scores):
-			out.appendCombine(a.Line(i))
+		src, x := b, j
+		if j >= len(b.scores) || (i < len(a.scores) && a.scores[i] <= b.scores[j]) {
+			src, x = a, i
 			i++
-		case a.scores[i] <= b.scores[j]:
-			out.appendCombine(a.Line(i))
-			i++
-		default:
-			out.appendCombine(b.Line(j))
+		} else {
 			j++
 		}
+		if !out.hasVec {
+			out.appendLine(src.scores[x], src.probs[x])
+			continue
+		}
+		var vec *Vector
+		var vp, vb float64
+		if src.hasVec {
+			vec, vp, vb = src.vecs[x], src.vprobs[x], src.vbounds[x]
+		}
+		out.appendLineVec(src.scores[x], src.probs[x], vec, vp, vb)
 	}
 	return out
 }

@@ -193,14 +193,16 @@ func TestAppendsDoNotWaitForSlowQueries(t *testing.T) {
 	}
 	mustStatus(t, do(t, s, "PUT", "/tables/big", string(body)), http.StatusCreated)
 
-	// Calibrate a query slow enough to dwarf any honest append: escalate k
-	// until one uncontended run takes at least minSlow.
+	// Calibrate a query slow enough to dwarf any honest append: double k
+	// until one uncontended run takes at least minSlow. The shared-row
+	// sweep answers k=60 on this table in well under minSlow, so the
+	// ladder runs on to k=320 (about 1s uncontended on one core).
 	const minSlow = 200 * time.Millisecond
 	var (
 		query string
 		slow  time.Duration
 	)
-	for _, k := range []int{10, 20, 40, 60} {
+	for _, k := range []int{10, 20, 40, 80, 160, 320} {
 		query = fmt.Sprintf("/tables/big/topk?k=%d", k)
 		start := time.Now()
 		mustStatus(t, do(t, s, "GET", query, ""), http.StatusOK)

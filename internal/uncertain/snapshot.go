@@ -10,10 +10,6 @@ import (
 // snapshots of one table a larger ID always means a later state.
 var snapshotIDs atomic.Uint64
 
-// tableIDs mints process-unique table (owner) identities; see
-// Table.Identity.
-var tableIDs atomic.Uint64
-
 // Snapshot is an immutable view of a table's contents, frozen at the moment
 // Table.Snapshot was called, with a process-unique identity.
 //
@@ -29,8 +25,7 @@ var tableIDs atomic.Uint64
 // The zero value is not useful; obtain snapshots from Table.Snapshot or
 // NewSnapshot.
 type Snapshot struct {
-	id    uint64
-	owner uint64
+	id uint64
 	// tuples is frozen: it aliases the owning table's append-only storage
 	// with its capacity clamped, so neither side can ever write through it.
 	tuples []Tuple
@@ -49,7 +44,7 @@ type Snapshot struct {
 }
 
 // NewSnapshot freezes a copy of the given tuples (in insertion order) as a
-// standalone snapshot with a fresh identity and owner. The input slice is
+// standalone snapshot with a fresh identity. The input slice is
 // copied, so the caller may keep mutating it.
 func NewSnapshot(tuples []Tuple) *Snapshot {
 	frozen := make([]Tuple, len(tuples))
@@ -64,7 +59,6 @@ func NewSnapshot(tuples []Tuple) *Snapshot {
 func OwnSnapshot(tuples []Tuple) *Snapshot {
 	return &Snapshot{
 		id:     snapshotIDs.Add(1),
-		owner:  tableIDs.Add(1),
 		tuples: tuples[:len(tuples):len(tuples)],
 	}
 }
@@ -73,10 +67,6 @@ func OwnSnapshot(tuples []Tuple) *Snapshot {
 // within a process, which makes them sound cache keys: an entry keyed by a
 // superseded snapshot's ID is unreachable by construction.
 func (s *Snapshot) ID() uint64 { return s.id }
-
-// Owner returns the identity of the table this snapshot was taken from (see
-// Table.Identity). Successive snapshots of one table share an owner.
-func (s *Snapshot) Owner() uint64 { return s.owner }
 
 // Len returns the number of tuples.
 func (s *Snapshot) Len() int { return len(s.tuples) }
@@ -95,8 +85,8 @@ func (s *Snapshot) Tuples() []Tuple {
 // like Table.Validate.
 func (s *Snapshot) Validate() error { return validateTuples(s.tuples) }
 
-// Table materialises the snapshot as a fresh mutable table with its own
-// identity.
+// Table materialises the snapshot as a fresh mutable table, whose own
+// snapshots get fresh identities.
 func (s *Snapshot) Table() *Table {
 	t := NewTable()
 	t.tuples = s.Tuples()

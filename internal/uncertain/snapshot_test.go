@@ -39,10 +39,6 @@ func TestSnapshotCopyOnWrite(t *testing.T) {
 	if s3.ID() <= s1.ID() {
 		t.Fatalf("snapshot IDs not monotonic: %d then %d", s1.ID(), s3.ID())
 	}
-	if s1.Owner() != s3.Owner() || s1.Owner() != tab.Identity() {
-		t.Fatalf("snapshots of one table must share its identity: %d, %d, table %d",
-			s1.Owner(), s3.Owner(), tab.Identity())
-	}
 	// The old snapshot is frozen: length and contents are from its moment.
 	if s1.Len() != 1 || s1.Tuple(0).ID != "a" {
 		t.Fatalf("old snapshot mutated: %+v", s1.Tuples())
@@ -82,9 +78,6 @@ func TestCloneSnapshotDistinctIdentity(t *testing.T) {
 	cs := clone.Snapshot()
 	if cs.ID() == orig.ID() {
 		t.Fatal("clone snapshot shares its origin's identity")
-	}
-	if cs.Owner() == orig.Owner() {
-		t.Fatal("clone shares its origin's table identity")
 	}
 
 	// Delete/recreate: a fresh table with the same number of Adds (same

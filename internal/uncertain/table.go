@@ -46,8 +46,6 @@ type Tuple struct {
 type Table struct {
 	tuples  []Tuple
 	version uint64
-	// id is the table's lazily minted process-unique identity; see Identity.
-	id atomic.Uint64
 	// snap memoizes the snapshot of the current contents: unchanged tables
 	// hand out the same snapshot, mutations clear the memo so the next
 	// Snapshot call lazily mints a fresh one (copy-on-write).
@@ -81,21 +79,6 @@ func (t *Table) Add(tp Tuple) *Table {
 // which is process-unique, instead.
 func (t *Table) Version() uint64 { return t.version }
 
-// Identity returns the table's process-unique identity, minted on first use
-// and stable for the table's lifetime. Unlike the pointer, an identity is
-// never reused within a process, and a Clone gets its own, so it
-// recognises "a later state of the same table" (Snapshot.Owner) without
-// risking collisions.
-func (t *Table) Identity() uint64 {
-	if id := t.id.Load(); id != 0 {
-		return id
-	}
-	if t.id.CompareAndSwap(0, tableIDs.Add(1)) {
-		return t.id.Load()
-	}
-	return t.id.Load()
-}
-
 // Snapshot returns an immutable snapshot of the current contents with a
 // process-unique identity. Snapshots are copy-on-write: while the table is
 // unchanged, every call returns the same *Snapshot (and therefore the same
@@ -111,7 +94,6 @@ func (t *Table) Snapshot() *Snapshot {
 	}
 	s := &Snapshot{
 		id:     snapshotIDs.Add(1),
-		owner:  t.Identity(),
 		tuples: t.tuples[:len(t.tuples):len(t.tuples)],
 	}
 	if t.snap.CompareAndSwap(nil, s) {
@@ -145,18 +127,18 @@ func (t *Table) Tuples() []Tuple {
 // Tuple returns the i-th tuple in insertion order.
 func (t *Table) Tuple(i int) Tuple { return t.tuples[i] }
 
-// Clone returns a deep copy with its own identity: the clone shares no
-// storage, no snapshot memo, and — even though it shares its origin's
-// Version — can never be confused with the original by an identity-keyed
-// cache, because its snapshots carry a fresh owner and fresh IDs.
+// Clone returns a deep copy: the clone shares no storage and no snapshot
+// memo, and — even though it shares its origin's Version — can never be
+// confused with the original by an identity-keyed cache, because its
+// snapshots carry fresh IDs.
 func (t *Table) Clone() *Table {
 	c := &Table{tuples: make([]Tuple, len(t.tuples)), version: t.version}
 	copy(c.tuples, t.tuples)
 	return c
 }
 
-// Extend returns a successor table holding t's tuples followed by tps, with
-// its own identity, as Clone followed by one Add per tuple would — but
+// Extend returns a successor table holding t's tuples followed by tps, as
+// Clone followed by one Add per tuple would — but
 // without copying t's tuples. The successor shares t's append-only storage
 // and writes only past t's length, which neither t nor any snapshot of t
 // can see, so t stays valid and unchanged for its concurrent readers. Only
