@@ -19,8 +19,8 @@
 // TopKDistribution returns that random variable's full probability mass
 // function — the paper's central object — computed with a dynamic program
 // that is linear in the scan depth, handles ME groups via rule-tuple
-// compression and per-unit exit points (one bottom-up sweep runs the rows
-// the units share, each unit only the rows below its join point), handles
+// compression and per-unit exit points (a binary fold tree over the units
+// applies each row once for every run of units that shares it), handles
 // non-injective (tied) scoring functions, and bounds its output size with
 // the paper's line-coalescing strategy. Each distribution line also carries the most probable top-k
 // vector achieving that score.

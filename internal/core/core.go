@@ -7,9 +7,9 @@
 //     exclusive tuples via rule tuples, blocked exit points and per-unit runs
 //     (§3.3), and to score ties via the (score, probability) sort order
 //     (§3.4). O(kmn) with constant-size distributions after line coalescing.
-//     The units' runs share the rows above their join points: one bottom-up
-//     sweep runs those rows once for all units, and each unit runs only its
-//     private rows below.
+//     The units' runs share rows: each group row a run of units uses
+//     alike is applied once for all of them, at the nodes of a binary fold
+//     tree over the units that merges their columns bottom-up.
 //   - StateExpansion — the naive state-space expansion of Figure 4,
 //     exponential in the scan depth, kept exact under ME rules by telescoping
 //     conditional skip/take factors.
@@ -53,16 +53,17 @@ type Params struct {
 	// MaxStates guards the naive algorithms; 0 uses DefaultMaxStates.
 	MaxStates int
 	// Parallelism is the number of goroutines the main algorithm may use to
-	// run the units' private rows concurrently (they are independent). The
-	// shared sweep then folds the units' partial columns in a fixed order —
-	// join point descending, then unit order — whoever computed them, so the
-	// result is bit-identical to serial execution.
+	// evaluate disjoint subtrees of its fold tree concurrently (they are
+	// independent). The nodes above them then merge their columns in the
+	// fixed left-then-right order, whoever computed them, so the result is
+	// bit-identical to serial execution.
 	//
-	// 0 auto-tunes: queries whose private rows hold enough estimated cells
-	// (autoParallelWork) fan out over min(GOMAXPROCS, units) workers, other
-	// queries run serially (worker hand-off would cost more than it saves).
-	// 1 or negative forces serial execution; values ≥ 2 set the worker
-	// count explicitly.
+	// 0 auto-tunes: queries whose fan-out saves enough estimated cells on
+	// the critical path (autoParallelWork) fan out over min(GOMAXPROCS,
+	// units) workers, other queries run serially (worker hand-off would
+	// cost more than it saves). 1 or negative forces serial execution;
+	// values ≥ 2 set the worker count explicitly and always fan out when
+	// there are two units or more.
 	Parallelism int
 }
 
@@ -99,8 +100,9 @@ type Result struct {
 	// ScanDepth is the number of tuples n examined (Theorem 2).
 	ScanDepth int
 	// Units is the number of dynamic-programming units (lead-tuple regions
-	// plus non-lead tuples) of the main algorithm; each runs its private
-	// rows, and the shared sweep runs the rest once for all of them.
+	// plus non-lead tuples) of the main algorithm: the leaves of its fold
+	// tree, each holding a unit's exit rows and the rows no other unit
+	// shares with it.
 	Units int
 	// Cells counts the Combine calls the main algorithm actually made —
 	// columns that cannot reach k, or whose sources are both empty, are not

@@ -83,13 +83,41 @@ func cartelGroups(segments int, seed int64) *uncertain.Table {
 }
 
 // BenchmarkCartelGroups is the dynamic program on a 40-segment CarTel-style
-// table (about 140 tuples), the shape on which units share the fewest rows.
+// table (about 140 tuples), whose groups of mass 1 interleave over the ranks:
+// the rows the units share form runs that no single chain of units covers.
 func BenchmarkCartelGroups(b *testing.B) {
 	p, err := uncertain.Prepare(cartelGroups(40, 7))
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, k := range []int{2, 4, 6} {
+	for _, k := range []int{2, 4, 6, 10} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			params := Params{K: k, Threshold: 0.001, MaxLines: 200, TrackVectors: true}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Distribution(p, params); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkLocalGroups is the dynamic program on a 25,000-tuple table of the
+// §5.4 make-up (scores on a 0.5 grid, 35% of the tuples in ME groups of 2–3
+// members 1–8 positions apart), the shape of the tables the write-then-read
+// traffic appends to: the Theorem-2 prefix holds a few dozen tuples, and
+// most rows the units share are suffixes of the rank order.
+func BenchmarkLocalGroups(b *testing.B) {
+	tab, err := synth.Generate(synth.Config{N: 25000, TieQuantum: 0.5, MEPortion: 0.35, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := uncertain.Prepare(tab)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, k := range []int{4, 8} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			params := Params{K: k, Threshold: 0.001, MaxLines: 200, TrackVectors: true}
 			b.ReportAllocs()

@@ -1,9 +1,8 @@
 package core
 
 import (
-	"cmp"
+	"math"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -19,6 +18,10 @@ type row struct {
 	skipFactor float64
 	branches   []pmf.TakeBranch
 	exit       bool
+	// outranks marks a row whose members all strictly outrank the boundary of
+	// every vector it is applied to, so that its boundary-aware skip factor
+	// is one number for all of them (see apply).
+	outranks bool
 }
 
 // skipTrue returns the boundary-aware skip factor for vector-probability
@@ -47,11 +50,10 @@ func (r row) skipTrue(bound float64) float64 {
 // maximal lead-tuple regions and individual non-lead tuples. A unit
 // conditions on containing the vector's k-th (last) tuple: its DP runs over
 // the compressed ME groups above it (rule tuples) and its own rows, the only
-// enabled exit points. Units share the rows above their join points (see
-// joinPoints), so each unit runs only its private rows and one bottom-up
-// sweep runs the shared rows for all of them at once, folding each unit's
-// partial columns in at its join point. The sweep's answer and those of the
-// units with no shared row are merged and coalesced to Params.MaxLines.
+// enabled exit points. The units' DPs run together on a fold tree (see
+// foldTree.build): a binary tree over the units whose every node applies,
+// once, the rows all the units below it share, after merging its children's
+// columns. The root's column k is the answer, coalesced to Params.MaxLines.
 //
 // The per-query working state comes from the process-wide Scratch pool, so
 // steady-state repeated queries allocate near-zero.
@@ -73,68 +75,33 @@ func DistributionScratch(p *uncertain.Prepared, params Params, s *Scratch) (*Res
 	res := &Result{ScanDepth: n}
 	units := p.UnitsPrefix(n)
 	res.Units = len(units)
-	plan, private := s.joinPoints(p, units, n, params.K)
+	if len(units) == 0 {
+		res.Dist = pmf.New()
+		return res, nil
+	}
+	t := &s.tree
+	t.build(p, units, n, params.K)
 	s.grid.Arena = &s.arena
-	var partials [][]*pmf.Dist
-	if workers := dpWorkers(params, len(units), private); workers > 1 {
-		partials = runUnitsParallel(p, plan, params, workers, &res.Cells)
-	}
-	// partial returns the private columns of plan[i], running its DP here
-	// when no worker has.
-	partial := func(i int) []*pmf.Dist {
-		if partials != nil {
-			return partials[i]
-		}
-		s.unit = columns(s.unit, params.K)
-		s.runUnit(p, plan[i], s.unit, params, &res.Cells)
-		return s.unit
-	}
-
-	// The sweep: walk the rows of the groups starting above the deepest join
-	// point, deepest first. Before the row of the group starting at f runs,
-	// every unit whose join point lies below f folds its partial columns in
-	// (join point descending, then unit order, whoever computed them), so
-	// the row runs once for all of them.
 	k := params.K
-	s.sum = columns(s.sum, k)
-	sum := s.sum
-	next := 0
-	if len(plan) > 0 {
-		above := plan[0].above
-		for f := plan[0].join - 1; f >= 0; f-- {
-			tp := p.Tuples[f]
-			if !tp.Lead {
-				continue
-			}
-			above--
-			for ; next < len(plan) && plan[next].join > f; next++ {
-				s.fold(sum, partial(next))
-			}
-			s.shared, s.branches = groupRow(p, tp.Group, n, s.branches[:0])
-			s.apply(sum, &s.shared, above, params, &res.Cells)
-		}
+	tasks, workers := s.fanOut(t, params)
+	s.reserve(int(t.nodes[0].need)+len(tasks), k)
+	var cols []*pmf.Dist
+	if workers > 1 {
+		cols = s.evalParallel(t, tasks, workers, params, &res.Cells)
+	} else {
+		cols = s.eval(t, 0, 0, params, nil, &res.Cells)
 	}
-	// Units with no shared row (join point 0) finish on their own.
-	finals := s.finals[:0]
-	if !empty(sum[k]) {
-		finals = append(finals, sum[k])
+	if empty(cols[k]) {
+		res.Dist = pmf.New()
+	} else {
+		res.Dist = cols[k].Clone()
 	}
-	for ; next < len(plan); next++ {
-		if cols := partial(next); !empty(cols[k]) {
-			finals = append(finals, cols[k])
-		}
-	}
-	res.Dist = pmf.MergeAll(finals)
-	// The final columns are dead after the merge (MergeAll always returns
-	// fresh storage); recycle them for the next query.
-	for i, d := range finals {
+	for j, d := range cols {
 		s.putDist(d)
-		finals[i] = nil
+		cols[j] = nil
 	}
-	s.finals = finals[:0]
-	clear(s.sum)
-	clear(s.unit)
-	s.cur = nil
+	// The pooled Scratch must not keep the table alive.
+	s.cur, t.p, t.units = nil, nil, nil
 	s.co.Coalesce(res.Dist, params.MaxLines, params.CoalesceMode)
 	if params.TrackVectors {
 		res.Dist.NormalizeVectors()
@@ -145,250 +112,202 @@ func DistributionScratch(p *uncertain.Prepared, params Params, s *Scratch) (*Res
 	// before the arena is recycled for the next query.
 	res.Dist.DetachVectors()
 	s.arena.Reset()
+	s.release()
 	return res, nil
 }
 
-// plannedUnit is a DP unit with its join point.
-type plannedUnit struct {
-	uncertain.Unit
-	// join is the first position whose group the unit runs privately: the
-	// rows of groups starting above join are shared with the sweep.
-	join int
-	// above is the number of shared rows, the groups starting above join.
-	above int
-}
-
-// joinPoints plans the units of the scan prefix [0, n) for the sweep and
-// returns them in fold order: join point descending, then unit order.
+// eval computes the columns of node nd of t into s.levels[lv] and returns
+// them: cols[j] is the distribution of choosing j tuples from the rows of
+// the units below nd (their exit rows, their leaves' rows and the rows of
+// the nodes up to nd) such that the deepest chosen row is an exit row.
 //
-// A unit starting at s, whose tie group starts at t, joins at c: the first
-// position of the highest-ranked group with a member above t and a member
-// in [t, n), or t when no group has both. Every group starting above c then
-// has two properties the sweep relies on:
-//
-//   - its members below n all lie above t, so the unit's compressed row for
-//     it (members above s) is the unit-independent row of members below n;
-//   - every member strictly outranks every exit row of the unit, so the
-//     boundary-aware skip factor (row.skipTrue) has one value for all of the
-//     unit's vectors, and electing a line's representative vector when
-//     partial columns merge before the row picks the vector the unit's own
-//     DP would have picked after it.
-//
-// Scores tied with s are free to appear in a top-k vector ending at s, which
-// is why the cut is at t and not at s. Positions from n on take no part:
-// neither the unit's rows nor the Theorem-2 prefix a view materializes
-// contain them.
-//
-// Equivalently c is the lowest first position among the groups of positions
-// [t, n), which one backward pass computes for every unit.
-func (s *Scratch) joinPoints(p *uncertain.Prepared, units []uncertain.Unit, n, k int) (plan []plannedUnit, private int) {
-	plan = s.plan[:0]
-	for _, u := range units {
-		plan = append(plan, plannedUnit{Unit: u})
+// A leaf applies its unit's exit rows, deepest first, then its own rows. An
+// internal node evaluates its children — the one needing more column sets
+// first, into level lv, the other into lv+1, so at most nodes[0].need levels
+// are live — merges the right child's columns into the left child's, and
+// applies its own rows. A node that is a fan-out task takes the columns a
+// worker computed (results, by task index) instead.
+func (s *Scratch) eval(t *foldTree, nd int32, lv int, params Params, results [][]*pmf.Dist, cells *int) []*pmf.Dist {
+	if len(s.levels) <= lv {
+		s.levels = append(s.levels, make([][]*pmf.Dist, lv+1-len(s.levels))...)
 	}
-	low, pos := n, n
-	for i := len(plan) - 1; i >= 0; i-- {
-		t, _ := p.TieGroup(plan[i].Start)
-		for ; pos > t; pos-- {
-			if f := p.GroupMembers(p.Tuples[pos-1].Group)[0]; f < low {
-				low = f
-			}
+	node := &t.nodes[nd]
+	rows := node.to - node.from
+	switch {
+	case results != nil && node.task >= 0:
+		s.levels[lv] = append(s.levels[lv][:0], results[node.task]...)
+		clear(results[node.task])
+		return s.levels[lv]
+	case node.left < 0:
+		cols := columns(s.levels[lv], params.K)
+		s.levels[lv] = cols
+		u := t.units[node.lo]
+		for q := u.End - 1; q >= u.Start; q-- {
+			tp := t.p.Tuples[q]
+			s.exitBranch[0] = pmf.TakeBranch{Shift: tp.Score, Factor: tp.Prob, Tuple: q}
+			s.exitRow = row{skipFactor: 1 - tp.Prob, branches: s.exitBranch[:], exit: true}
+			s.apply(cols, &s.exitRow, int(rows)+int(node.above)+q-u.Start, params, cells)
 		}
-		plan[i].join = low
-	}
-	// Join points and starts never decrease in unit order, so one forward
-	// pass counts the groups starting above each join point and each start,
-	// and with them the private rows and an estimate of their cells.
-	var leads, leadsAbove, joinPos, startPos int
-	for i := range plan {
-		u := &plan[i]
-		for ; joinPos < u.join; joinPos++ {
-			if p.Tuples[joinPos].Lead {
-				leads++
-			}
-		}
-		for ; startPos < u.Start; startPos++ {
-			if p.Tuples[startPos].Lead {
-				leadsAbove++
-			}
-		}
-		u.above = leads
-		// Row i from the bottom fills at most min(i, k) columns.
-		r := leadsAbove - leads + u.End - u.Start
-		if r <= k {
-			private += r * (r + 1) / 2
+	default:
+		l, r := node.left, node.left+1
+		if t.nodes[r].need > t.nodes[l].need {
+			s.eval(t, r, lv, params, results, cells)
+			s.eval(t, l, lv+1, params, results, cells)
+			s.levels[lv], s.levels[lv+1] = s.levels[lv+1], s.levels[lv]
 		} else {
-			private += k*(k+1)/2 + (r-k)*k
+			s.eval(t, l, lv, params, results, cells)
+			s.eval(t, r, lv+1, params, results, cells)
 		}
+		s.fold(s.levels[lv], s.levels[lv+1])
 	}
-	slices.SortStableFunc(plan, func(a, b plannedUnit) int { return cmp.Compare(b.join, a.join) })
-	s.plan = plan
-	return plan, private
+	cols := s.levels[lv]
+	for i, ri := range t.at[node.from:node.to] {
+		s.apply(cols, &t.rows[ri], int(rows)-1-i+int(node.above), params, cells)
+	}
+	return cols
 }
 
-// autoParallelWork is the estimated number of private cells (the cells
-// workers can take) from which Parallelism == 0 fans out. The shared sweep
-// runs serially either way. Measured with two workers at 200 lines: tables
-// whose units share most rows (synth, estimates up to 1,500 at k = 20) ran
-// 0–60% slower fanned out, as goroutine hand-off, per-worker scratch and
-// detaching the partial columns outweigh the split; CarTel-style tables,
-// whose rows are nearly all private, broke even near 4,000 and ran 1.7x
-// faster from 25,000.
-const autoParallelWork = 4096
+// autoParallelWork is the estimated number of cells fanning out must save
+// on the critical path before Parallelism == 0 fans out. Measured with two
+// workers on CarTel-style tables at 200 lines: from about 2,000 saved cells
+// fanning out cut wall time by 11–43% for no measurable extra CPU, while
+// below 1,500 it cost 7–28% more CPU. Tables whose runs are suffixes (the
+// tree is a chain) save nothing and stay serial.
+const autoParallelWork = 2048
 
-// dpWorkers resolves Params.Parallelism to a worker count: ≥ 2 is an
-// explicit fan-out, 1 or negative forces serial, and 0 auto-tunes — serial
-// when the units' private rows hold fewer than autoParallelWork cells,
-// otherwise one worker per processor, never more than one per unit.
-func dpWorkers(params Params, units, privateCells int) int {
+// fanOut resolves Params.Parallelism and picks the subtrees workers
+// evaluate: ≥ 2 is an explicit worker count, 1 or negative forces serial,
+// and 0 auto-tunes to one worker per processor when that saves an estimated
+// autoParallelWork cells or more, serial otherwise. Never more workers than
+// units.
+//
+// The tasks come from splitting the subtree of most estimated work into its
+// children, again and again, up to eight tasks per worker; the split nodes
+// then run serially above the tasks. Of the frontiers passed through, fanOut
+// keeps the one of shortest estimated critical path: the work above the
+// tasks plus the larger of the largest task and the tasks' work spread over
+// the workers. An explicit worker count always gets at least two tasks.
+func (s *Scratch) fanOut(t *foldTree, params Params) (tasks []int32, workers int) {
 	w := params.Parallelism
+	total := t.nodes[0].work
 	if w == 0 {
-		if privateCells < autoParallelWork {
-			return 1
+		if total < autoParallelWork {
+			return nil, 1
 		}
 		w = runtime.GOMAXPROCS(0)
 	}
-	if w > units {
-		w = units
+	if w = min(w, len(t.units)); w < 2 {
+		return nil, 1
 	}
-	if w < 2 {
-		return 1
+	best, bestTasks := total, 1
+	if params.Parallelism != 0 {
+		best, bestTasks = math.MaxInt, 2
 	}
-	return w
-}
-
-// runUnitsParallel fans the units' private DPs out over a bounded worker
-// pool and returns their partial columns by plan index; the sweep then folds
-// them in plan order, so the answer is bit-identical to the serial one. Cell
-// counts are accumulated atomically.
-//
-// Each worker owns a pooled Scratch whose arena backs the vector nodes of
-// the units it runs, so every partial column is detached from that arena
-// (a ≤ MaxLines × k copy per column) before the worker releases the Scratch.
-func runUnitsParallel(p *uncertain.Prepared, plan []plannedUnit, params Params, workers int, cells *int) [][]*pmf.Dist {
-	partials := make([][]*pmf.Dist, len(plan))
-	var counted int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	worker := func(claim func() int) {
-		defer wg.Done()
-		ws := GetScratch()
-		defer PutScratch(ws)
-		ws.grid.Arena = &ws.arena
-		local := 0
-		for {
-			i := claim()
-			if i < 0 {
-				break
-			}
-			cols := make([]*pmf.Dist, params.K+1)
-			ws.runUnit(p, plan[i], cols, params, &local)
-			for _, d := range cols {
-				if d != nil {
-					d.DetachVectors()
-				}
-			}
-			partials[i] = cols
-		}
-		ws.arena.Reset()
-		atomic.AddInt64(&counted, int64(local))
-	}
-	if len(plan) > 4*workers {
-		// Many units per worker: a shared atomic cursor is cheaper than
-		// channel hand-off at this grain.
-		cursor := int64(-1)
-		claim := func() int {
-			if i := int(atomic.AddInt64(&cursor, 1)); i < len(plan) {
-				return i
-			}
-			return -1
-		}
-		for w := 0; w < workers; w++ {
-			go worker(claim)
-		}
-	} else {
-		// Buffered to capacity: the producer below never blocks handing out
-		// unit indices.
-		next := make(chan int, len(plan))
-		for i := range plan {
-			next <- i
-		}
-		close(next)
-		claim := func() int {
-			if i, ok := <-next; ok {
-				return i
-			}
-			return -1
-		}
-		for w := 0; w < workers; w++ {
-			go worker(claim)
-		}
-	}
-	wg.Wait()
-	*cells += int(counted)
-	return partials
-}
-
-// groupRow appends the compressed row of group g's members at positions
-// below limit (a rule tuple, §3.3.1) to buf and returns the row, whose
-// branches alias buf.
-func groupRow(p *uncertain.Prepared, g, limit int, buf []pmf.TakeBranch) (row, []pmf.TakeBranch) {
-	from := len(buf)
-	mass := 0.0
-	for _, m := range p.GroupMembers(g) {
-		if m >= limit {
+	tasks = append(s.tasks[:0], 0)
+	for len(tasks) < 8*w {
+		var split bool
+		if tasks, split = t.splitHeaviest(tasks); !split {
 			break
 		}
-		tp := p.Tuples[m]
-		buf = append(buf, pmf.TakeBranch{Shift: tp.Score, Factor: tp.Prob, Tuple: m})
-		mass += tp.Prob
-	}
-	r := row{skipFactor: 1 - mass, branches: buf[from:len(buf):len(buf)]}
-	if r.skipFactor < 0 {
-		r.skipFactor = 0
-	}
-	return r, buf
-}
-
-// runUnit runs the private rows of unit u bottom-up over cols, which must
-// start empty; afterwards cols holds the unit's partial columns at its join
-// point.
-//
-// For a lead-tuple region [a, b): the private rows are the compressed groups
-// starting in [join, a), restricted to positions below a, followed by the
-// region's tuples, each an enabled exit point. Region tuples are lead
-// tuples, so every ME constraint that could affect a vector ending inside
-// the region is confined to positions < a.
-//
-// For a non-lead tuple q: the private rows are the compressed groups
-// starting in [join, q) restricted to positions below q, with q's own group
-// removed (its higher-ranked mates must simply not appear, which
-// conditioning on q's presence already implies), followed by the single row
-// q, the only enabled exit point.
-func (s *Scratch) runUnit(p *uncertain.Prepared, u plannedUnit, cols []*pmf.Dist, params Params, cells *int) {
-	skipGroup := -1
-	if u.Kind == uncertain.UnitNonLead {
-		skipGroup = p.Tuples[u.Start].Group
-	}
-	rows := s.rows[:0]
-	br := s.branches[:0]
-	for pos := u.join; pos < u.Start; pos++ {
-		if tp := p.Tuples[pos]; tp.Lead && tp.Group != skipGroup {
-			var r row
-			r, br = groupRow(p, tp.Group, u.Start, br)
-			rows = append(rows, r)
+		spread, largest := 0, 0
+		for _, nd := range tasks {
+			spread += t.nodes[nd].work
+			largest = max(largest, t.nodes[nd].work)
+		}
+		if crit := total - spread + max(largest, (spread+w-1)/w); crit < best && len(tasks) >= bestTasks {
+			best, bestTasks = crit, len(tasks)
 		}
 	}
-	for pos := u.Start; pos < u.End; pos++ {
-		tp := p.Tuples[pos]
-		from := len(br)
-		br = append(br, pmf.TakeBranch{Shift: tp.Score, Factor: tp.Prob, Tuple: pos})
-		rows = append(rows, row{skipFactor: 1 - tp.Prob, branches: br[from:len(br):len(br)], exit: true})
+	// Replay the splits up to the chosen frontier.
+	tasks = append(tasks[:0], 0)
+	for len(tasks) < bestTasks {
+		tasks, _ = t.splitHeaviest(tasks)
 	}
-	for i := len(rows) - 1; i >= 0; i-- {
-		s.apply(cols, &rows[i], u.above+i, params, cells)
+	s.tasks = tasks
+	if len(tasks) < 2 || params.Parallelism == 0 && total-best < autoParallelWork {
+		return nil, 1
 	}
-	s.rows, s.branches = rows, br
+	for i, nd := range tasks {
+		t.nodes[nd].task = int32(i)
+	}
+	return tasks, w
+}
+
+// splitHeaviest replaces the task subtree of most estimated work that is not
+// a leaf by its two children, and reports whether there was one.
+func (t *foldTree) splitHeaviest(tasks []int32) ([]int32, bool) {
+	h := -1
+	for i, nd := range tasks {
+		if t.nodes[nd].left >= 0 && (h < 0 || t.nodes[nd].work > t.nodes[tasks[h]].work) {
+			h = i
+		}
+	}
+	if h < 0 {
+		return tasks, false
+	}
+	left := t.nodes[tasks[h]].left
+	tasks[h] = left
+	return append(tasks, left+1), true
+}
+
+// evalParallel evaluates the tasks' subtrees over a bounded worker pool,
+// then the nodes above them here, and returns the root's columns. Each
+// worker evaluates on a pooled helper Scratch, which the query holds until
+// release: the tasks' columns keep pointing into the helpers' arenas until
+// the answer's vectors are detached. The nodes above the tasks merge their
+// columns in the fixed left-then-right order, so the answer is bit-identical
+// to the serial one. Cell counts are accumulated atomically.
+func (s *Scratch) evalParallel(t *foldTree, tasks []int32, workers int, params Params, cells *int) []*pmf.Dist {
+	results := resize(s.results, len(tasks))
+	for i := range results {
+		results[i] = columns(results[i], params.K)
+	}
+	s.results = results
+	s.helpers = resize(s.helpers, workers)
+	var cursor, counted atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := range s.helpers {
+		go func() {
+			defer wg.Done()
+			ws := GetScratch()
+			s.helpers[w] = ws
+			ws.grid.Arena = &ws.arena
+			ws.reserve(int(t.nodes[0].need), params.K)
+			local := 0
+			for i := cursor.Add(1) - 1; i < int64(len(tasks)); i = cursor.Add(1) - 1 {
+				cols := ws.eval(t, tasks[i], 0, params, nil, &local)
+				for j, d := range cols {
+					if d != nil {
+						ws.lent++
+					}
+					results[i][j] = d
+					cols[j] = nil
+				}
+			}
+			ws.cur = nil
+			counted.Add(int64(local))
+		}()
+	}
+	wg.Wait()
+	*cells += int(counted.Load())
+	return s.eval(t, 0, 0, params, results, cells)
+}
+
+// release returns the helper Scratches of a fanned-out query to the pool
+// once nothing points into their arenas, each with as many recycled
+// distributions as its tasks' columns brought over.
+func (s *Scratch) release() {
+	for i, ws := range s.helpers {
+		ws.arena.Reset()
+		for ; ws.lent > 0 && len(s.free) > 0; ws.lent-- {
+			ws.putDist(s.getDist())
+		}
+		ws.lent = 0
+		PutScratch(ws)
+		s.helpers[i] = nil
+	}
+	s.helpers = s.helpers[:0]
 }
 
 // apply runs row r over the columns cols[1..k] in place, bottom-up: after
@@ -410,9 +329,21 @@ func (s *Scratch) apply(cols []*pmf.Dist, r *row, above int, params Params, cell
 	if params.TrackVectors {
 		if s.skipTrue == nil {
 			s.skipTrue = func(bound float64) float64 { return s.cur.skipTrue(bound) }
+			s.skipOutranks = func(float64) float64 { return s.outranksSkip }
 		}
 		s.cur = r
 		adjust = s.skipTrue
+		if r.outranks {
+			// Every line's boundary lies below every member, so the
+			// boundary-aware factor is skipTrue(−∞) for all lines: computed
+			// once, and not at all when it equals the skip factor the
+			// combiner applies by default (always so for one branch).
+			s.outranksSkip = r.skipTrue(math.Inf(-1))
+			adjust = s.skipOutranks
+			if s.outranksSkip == r.skipFactor {
+				adjust = nil
+			}
+		}
 	}
 	// Column j reads the old columns j and j−1; going down from k, each old
 	// column is dead once its own new value is computed.
@@ -439,23 +370,22 @@ func (s *Scratch) apply(cols []*pmf.Dist, r *row, above int, params Params, cell
 	}
 }
 
-// fold merges a unit's partial columns into the sweep's columns sum and
-// recycles them; part is left empty.
-func (s *Scratch) fold(sum, part []*pmf.Dist) {
-	for j := 1; j < len(sum); j++ {
-		switch d := part[j]; {
-		case empty(d):
-			s.putDist(d)
-		case empty(sum[j]):
-			s.putDist(sum[j])
-			sum[j] = d
+// fold merges the columns right into left, left's lines first among equal
+// scores, and recycles right's; right is left empty.
+func (s *Scratch) fold(left, right []*pmf.Dist) {
+	for j := 1; j < len(left); j++ {
+		switch a, b := left[j], right[j]; {
+		case empty(b):
+			s.putDist(b)
+		case empty(a):
+			s.putDist(a)
+			left[j] = b
 		default:
-			m := pmf.MergeInto(s.getDist(), sum[j], d)
-			s.putDist(sum[j])
-			s.putDist(d)
-			sum[j] = m
+			left[j] = pmf.MergeInto(s.getDist(), a, b)
+			s.putDist(a)
+			s.putDist(b)
 		}
-		part[j] = nil
+		right[j] = nil
 	}
 }
 

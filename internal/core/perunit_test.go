@@ -5,9 +5,9 @@ import (
 	"probtopk/internal/uncertain"
 )
 
-// perUnitDistribution is the main algorithm as it ran before the shared
-// sweep: one complete bottom-up DP per unit over every row above the unit,
-// the per-unit answers merged in unit order. It is the reference of
+// perUnitDistribution is the main algorithm without any sharing: one
+// complete bottom-up DP per unit over every row above the unit, the per-unit
+// answers merged in unit order. It is the reference of
 // TestSweepMatchesPerUnit and is never used outside tests.
 func perUnitDistribution(p *uncertain.Prepared, params Params) (*Result, error) {
 	if err := params.validate(p); err != nil {

@@ -6,9 +6,9 @@ import (
 	"probtopk/internal/pmf"
 )
 
-// maxFreeDists bounds the number of recycled distributions a Scratch retains
-// between queries, so a one-off huge query cannot pin its working set in the
-// pool forever.
+// maxFreeDists is the number of recycled distributions a Scratch retains
+// between queries when the query at hand needs fewer, so a one-off huge query
+// cannot pin its working set in the pool: the next query trims it.
 const maxFreeDists = 64
 
 // Scratch is the reusable per-query working state of the main dynamic
@@ -24,6 +24,11 @@ type Scratch struct {
 	grid pmf.GridCombiner
 	co   pmf.Coalescer
 	free []*pmf.Dist
+	// keep bounds free: the distributions the query at hand can hold live at
+	// once (see reserve), and never fewer than maxFreeDists. lent counts the
+	// distributions a helper Scratch handed to the query it helps.
+	keep int
+	lent int
 	exit *pmf.Dist
 	// arena backs every vector node the DP allocates for one query
 	// (grid.Arena points at it while a query runs). DistributionScratch
@@ -32,22 +37,26 @@ type Scratch struct {
 	// per query never reach the garbage collector.
 	arena pmf.VectorArena
 
-	// Reused buffers of the sweep: the planned units, one unit's rows, the
-	// shared row being swept, their take branches, the sweep's and one
-	// unit's columns, and the final columns to merge.
-	plan     []plannedUnit
-	rows     []row
-	shared   row
-	branches []pmf.TakeBranch
-	sum      []*pmf.Dist
-	unit     []*pmf.Dist
-	finals   []*pmf.Dist
+	// Reused buffers of the fold tree: its plan, the column sets of the
+	// evaluation levels, the fan-out tasks, their columns and the helper
+	// Scratches computing them, and the exit row being applied with its one
+	// branch.
+	tree       foldTree
+	levels     [][]*pmf.Dist
+	tasks      []int32
+	results    [][]*pmf.Dist
+	helpers    []*Scratch
+	exitRow    row
+	exitBranch [1]pmf.TakeBranch
 
 	// cur is the row being applied; skipTrue is its boundary-aware skip
-	// factor, bound once per Scratch so that applying a row allocates no
-	// closure.
-	cur      *row
-	skipTrue func(bound float64) float64
+	// factor and skipOutranks the one factor outranksSkip of a row that
+	// outranks every boundary, both bound once per Scratch so that applying
+	// a row allocates no closure.
+	cur          *row
+	skipTrue     func(bound float64) float64
+	skipOutranks func(bound float64) float64
+	outranksSkip float64
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
@@ -59,6 +68,17 @@ func GetScratch() *Scratch { return scratchPool.Get().(*Scratch) }
 func PutScratch(s *Scratch) {
 	if s != nil {
 		scratchPool.Put(s)
+	}
+}
+
+// reserve sizes the free list for a query holding up to sets live column
+// sets of k+1 distributions (plus one in flight per set), dropping what an
+// earlier, larger query left beyond that.
+func (s *Scratch) reserve(sets, k int) {
+	s.keep = max(maxFreeDists, (sets+1)*(k+1))
+	if len(s.free) > s.keep {
+		clear(s.free[s.keep:])
+		s.free = s.free[:s.keep]
 	}
 }
 
@@ -75,7 +95,7 @@ func (s *Scratch) getDist() *pmf.Dist {
 
 // putDist recycles a distribution whose contents are no longer reachable.
 func (s *Scratch) putDist(d *pmf.Dist) {
-	if d == nil || len(s.free) >= maxFreeDists {
+	if d == nil || len(s.free) >= s.keep {
 		return
 	}
 	d.Reset()

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"probtopk/internal/pmf"
+	"probtopk/internal/synth"
 	"probtopk/internal/uncertain"
 )
 
@@ -54,76 +55,67 @@ func sweepTable(r *rand.Rand) *uncertain.Table {
 	return tab
 }
 
-// TestSweepMatchesPerUnit is the differential test of the shared sweep
-// against the per-unit reference (perUnitDistribution), which runs every
-// row above every unit.
+// cartelSweepTable builds a random CarTel-shaped table: 3–8 segments, each
+// one ME group of 2–5 members of mass 1, with scores from a pool of five so
+// that ties cross groups. Every group spreads over the ranks, so the units'
+// rows form many interleaving versions and the fold tree is deep.
+func cartelSweepTable(r *rand.Rand) *uncertain.Table {
+	pool := []float64{0.5, 1, 1.5, 2.5, 4}
+	tab := uncertain.NewTable()
+	for seg := 3 + r.Intn(6); seg > 0; seg-- {
+		size := 2 + r.Intn(4)
+		left := 1.0
+		for i := 0; i < size; i++ {
+			pr := left
+			if i < size-1 {
+				pr = left * (0.15 + 0.5*r.Float64())
+			}
+			left -= pr
+			tab.Add(uncertain.Tuple{ID: fmt.Sprintf("s%d.%d", seg, i), Score: pool[r.Intn(len(pool))], Prob: pr, Group: fmt.Sprintf("s%d", seg)})
+		}
+	}
+	return tab
+}
+
+// TestSweepMatchesPerUnit is the differential test of the fold tree against
+// the per-unit reference (perUnitDistribution), which runs every row above
+// every unit, on two families of random tables: sweepTable's, and the
+// CarTel-shaped tables of cartelSweepTable at k ≤ 3.
 //
 //   - Exact (no line cap): the same lines, within 1e-12 in score,
-//     probability and representative-vector probability — so the sweep
+//     probability and representative-vector probability — so the tree
 //     elects a vector as probable as the reference's for every line.
 //   - Capped at 50 and 200 lines: the same total mass within 1e-12, and
 //     every line's VecProb equal to VectorProb of its vector.
 //   - Everywhere: the same scan depth and unit count, no more cells than the
 //     reference, and a parallel run bit-identical to the serial one.
 //
-// -sweep.n sets the number of random tables.
+// -sweep.n sets the number of random tables of each family.
 func TestSweepMatchesPerUnit(t *testing.T) {
 	r := rand.New(rand.NewSource(18))
+	rc := rand.New(rand.NewSource(19))
 	checked := 0
 	for c := -1; c < *sweepCases; c++ {
 		tab := sweepTable(r)
 		k := 1 + r.Intn(5)
 		threshold := []float64{0, 0.01, 0.2}[r.Intn(3)]
 		if c < 0 {
-			// Case -1: ME groups whose members tie with later tuples. Join
-			// points cut at a unit's own position instead of its tie group's
-			// start share rows whose skip factor depends on the vector's
-			// boundary, and the sweep then elects a less probable vector for
-			// the score-13.6 line at k=4.
+			// Case -1: ME groups whose members tie with later tuples. Sharing
+			// a version with a unit whose tie group starts at or before the
+			// version's last member applies a row whose skip factor depends
+			// on the vector's boundary to merged columns, and the tree then
+			// elects a less probable vector for the score-13.6 line at k=4.
 			tab, k, threshold = tiedGroupTable(), 4, 0
 		}
+		cartel := cartelSweepTable(rc)
+		if err := cartel.Validate(); err != nil {
+			t.Fatalf("cartel case %d: %v", c, err)
+		}
+		checkSweep(t, fmt.Sprintf("cartel case %d", c), prep(t, cartel), 1+rc.Intn(3), []float64{0, 0.01, 0.2}[rc.Intn(3)])
 		if tab.Validate() != nil {
 			continue
 		}
-		p := prep(t, tab)
-		for _, maxLines := range []int{0, 50, 200} {
-			params := Params{K: k, Threshold: threshold, MaxLines: maxLines, TrackVectors: true, Parallelism: 1}
-			name := fmt.Sprintf("case %d (n=%d k=%d threshold=%v lines=%d)", c, p.Len(), k, threshold, maxLines)
-			want, err := perUnitDistribution(p, params)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := Distribution(p, params)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.ScanDepth != want.ScanDepth || got.Units != want.Units {
-				t.Fatalf("%s: scan depth %d, units %d; reference %d, %d", name, got.ScanDepth, got.Units, want.ScanDepth, want.Units)
-			}
-			if got.Cells > want.Cells {
-				t.Fatalf("%s: %d cells, reference %d", name, got.Cells, want.Cells)
-			}
-			if maxLines == 0 {
-				sameLines(t, name, got.Dist, want.Dist)
-			} else {
-				if gm, wm := got.Dist.TotalMass(), want.Dist.TotalMass(); math.Abs(gm-wm) > 1e-12 {
-					t.Fatalf("%s: total mass %v, reference %v", name, gm, wm)
-				}
-				for _, l := range got.Dist.Lines() {
-					if vp := VectorProb(p, l.Vec.Slice()); l.Vec.Len() != k || math.Abs(vp-l.VecProb) > 1e-12 {
-						t.Fatalf("%s: line %v vector %v has VecProb %v, VectorProb %v", name, l.Score, l.Vec.Slice(), l.VecProb, vp)
-					}
-				}
-			}
-			params.Parallelism = 3
-			par, err := Distribution(p, params)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if par.Cells != got.Cells || !slices.EqualFunc(par.Dist.Lines(), got.Dist.Lines(), identicalLine) {
-				t.Fatalf("%s: parallel run differs from serial (%d vs %d cells)", name, par.Cells, got.Cells)
-			}
-		}
+		checkSweep(t, fmt.Sprintf("case %d", c), prep(t, tab), k, threshold)
 		checked++
 	}
 	if checked < *sweepCases/2 {
@@ -131,8 +123,51 @@ func TestSweepMatchesPerUnit(t *testing.T) {
 	}
 }
 
-// tiedGroupTable is a table on which the tie-group rule of joinPoints
-// decides the representative vectors.
+// checkSweep runs TestSweepMatchesPerUnit's checks on one table.
+func checkSweep(t *testing.T, label string, p *uncertain.Prepared, k int, threshold float64) {
+	t.Helper()
+	for _, maxLines := range []int{0, 50, 200} {
+		params := Params{K: k, Threshold: threshold, MaxLines: maxLines, TrackVectors: true, Parallelism: 1}
+		name := fmt.Sprintf("%s (n=%d k=%d threshold=%v lines=%d)", label, p.Len(), k, threshold, maxLines)
+		want, err := perUnitDistribution(p, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Distribution(p, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.ScanDepth != want.ScanDepth || got.Units != want.Units {
+			t.Fatalf("%s: scan depth %d, units %d; reference %d, %d", name, got.ScanDepth, got.Units, want.ScanDepth, want.Units)
+		}
+		if got.Cells > want.Cells {
+			t.Fatalf("%s: %d cells, reference %d", name, got.Cells, want.Cells)
+		}
+		if maxLines == 0 {
+			sameLines(t, name, got.Dist, want.Dist)
+		} else {
+			if gm, wm := got.Dist.TotalMass(), want.Dist.TotalMass(); math.Abs(gm-wm) > 1e-12 {
+				t.Fatalf("%s: total mass %v, reference %v", name, gm, wm)
+			}
+			for _, l := range got.Dist.Lines() {
+				if vp := VectorProb(p, l.Vec.Slice()); l.Vec.Len() != k || math.Abs(vp-l.VecProb) > 1e-12 {
+					t.Fatalf("%s: line %v vector %v has VecProb %v, VectorProb %v", name, l.Score, l.Vec.Slice(), l.VecProb, vp)
+				}
+			}
+		}
+		params.Parallelism = 3
+		par, err := Distribution(p, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if par.Cells != got.Cells || !slices.EqualFunc(par.Dist.Lines(), got.Dist.Lines(), identicalLine) {
+			t.Fatalf("%s: parallel run differs from serial (%d vs %d cells)", name, par.Cells, got.Cells)
+		}
+	}
+}
+
+// tiedGroupTable is a table on which keeping tied versions private decides
+// the representative vectors.
 func tiedGroupTable() *uncertain.Table {
 	tab := uncertain.NewTable()
 	for _, tp := range []uncertain.Tuple{
@@ -182,4 +217,38 @@ func sameLines(t *testing.T, name string, got, want *pmf.Dist) {
 func identicalLine(a, b pmf.Line) bool {
 	return a.Score == b.Score && a.Prob == b.Prob && a.VecProb == b.VecProb && a.VecBound == b.VecBound &&
 		slices.Equal(a.Vec.Slice(), b.Vec.Slice())
+}
+
+// TestFoldTreeCells guards the sharing with counts. On the CarTel-style table
+// of BenchmarkCartelGroups, whose groups of mass 1 interleave over the ranks,
+// the fold tree makes at most a quarter of the per-unit reference's Combine
+// calls (2,793 of 18,084); sharing only the rows above each unit's first
+// straddling group made 71%. On BenchmarkColdK10's table it makes at most the
+// 804 calls that sharing made.
+func TestFoldTreeCells(t *testing.T) {
+	p := prep(t, cartelGroups(40, 7))
+	params := Params{K: 6, Threshold: 0.001, MaxLines: 200, TrackVectors: true}
+	got, err := Distribution(p, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := perUnitDistribution(p, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if 4*got.Cells > want.Cells {
+		t.Errorf("CarTel-style table: %d cells, more than a quarter of the reference's %d", got.Cells, want.Cells)
+	}
+
+	tab, err := synth.Generate(synth.Config{Seed: 1}.WithDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	params.K = 10
+	if got, err = Distribution(prep(t, tab), params); err != nil {
+		t.Fatal(err)
+	}
+	if got.Cells > 804 {
+		t.Errorf("synthetic table at k=10: %d cells, want at most 804", got.Cells)
+	}
 }

@@ -98,12 +98,14 @@ type Options struct {
 	// the total mass is Pr(a top-k vector exists), i.e. that at least k
 	// tuples co-exist.
 	Normalize bool
-	// Parallelism lets the main algorithm run its dynamic-programming units'
-	// private rows on up to this many goroutines; the rows the units share
-	// run once, serially. The result is bit-identical to serial execution.
-	// The zero value auto-tunes: queries with enough private work fan out
-	// over min(GOMAXPROCS, units) workers, others run serially. 1 or
-	// negative forces serial; ≥ 2 sets the count explicitly.
+	// Parallelism lets the main algorithm evaluate disjoint subtrees of its
+	// fold tree (the binary tree over its dynamic-programming units whose
+	// nodes apply the rows the units below share) on up to this many
+	// goroutines; the nodes above them run serially. The result is
+	// bit-identical to serial execution. The zero value auto-tunes: queries
+	// whose fan-out saves enough estimated work fan out over
+	// min(GOMAXPROCS, units) workers, others run serially. 1 or negative
+	// forces serial; ≥ 2 sets the count explicitly.
 	Parallelism int
 }
 
