@@ -12,9 +12,19 @@ import (
 // functions delegate to the shared default engine.
 
 // UTopK computes the U-Topk answer [Soliman, Ilyas, Chang]: the top-k tuple
-// vector with the highest probability of being a top-k vector. Equivalent to
-// TopKDistribution(t, k, Exact()) followed by Distribution.UTopK, which
-// callers already holding a Distribution should prefer.
+// vector with the highest probability of being a top-k vector.
+//
+// It is one run of the main algorithm over the whole table that keeps a
+// single line, TopKDistribution(t, k, &Options{Threshold: -1, MaxLines: 1})
+// followed by Distribution.UTopK: merging lines keeps the more probable
+// vector, so the cap does not change the vector, and the run costs about
+// what a default query does. The returned Line therefore reads:
+//
+//   - Vector and VectorProb: the most probable vector and the exact
+//     probability that it is a top-k vector;
+//   - Score: the vector's own total score;
+//   - Prob: the single line's mass, which is Pr(a top-k vector exists), not
+//     the mass at Score.
 func UTopK(t *Table, k int) (Line, error) { return defaultEngine.UTopK(t, k) }
 
 // UTopK computes the U-Topk answer through this engine; see the
@@ -26,17 +36,20 @@ func (e *Engine) UTopK(t *Table, k int) (Line, error) {
 	return e.UTopKSnapshot(t.Snapshot(), k)
 }
 
-// UTopKSnapshot computes the U-Topk answer over an immutable snapshot.
+// UTopKSnapshot computes the U-Topk answer over an immutable snapshot; see
+// the package-level UTopK.
 func (e *Engine) UTopKSnapshot(s *Snapshot, k int) (Line, error) {
-	dist, err := e.TopKDistributionSnapshot(s, k, Exact())
+	dist, err := e.TopKDistributionSnapshot(s, k, &Options{Threshold: -1, MaxLines: 1})
 	if err != nil {
 		return Line{}, err
 	}
-	l, ok := dist.UTopK()
+	l, ok := dist.dist.MaxVecProbLine()
 	if !ok {
 		return Line{}, ErrNoVector
 	}
-	return l, nil
+	out := dist.line(l)
+	out.Score = dist.prepared.TotalScore(l.Vec.Slice())
+	return out, nil
 }
 
 // ErrNoVector is returned when no k tuples can co-exist, so no top-k vector

@@ -28,7 +28,12 @@
 // Typical selects the c-Typical-Topk answers (Definitions 1 and 2): the c
 // vectors whose scores minimize the expected distance from a random top-k
 // score. UTopK, UKRanks, PTk and GlobalTopK provide the pre-existing
-// semantics the paper compares against.
+// semantics the paper compares against, at about the cost of one main
+// algorithm query: UTopK is one run of the dynamic program over the whole
+// table that keeps a single line (merges keep the more probable vector, so
+// the cap does not change the answer), and the category-2 semantics share
+// one O(n log n · k) walk of a segment tree over the rank positions for the
+// in-top-k and rank probabilities of every tuple.
 //
 // # Snapshots and mutation
 //

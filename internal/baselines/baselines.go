@@ -14,9 +14,18 @@
 // Prior work assumed injective scoring; under ties this package ranks by the
 // same (score, probability)-descending order used everywhere in probtopk.
 //
-// The category-2 semantics share one primitive: the distribution of the
-// number of higher-ranked tuples that appear, a Poisson-binomial convolution
-// over the independent ME groups.
+// The category-2 semantics share one primitive: for every tuple, the
+// distribution of the number of higher-ranked tuples outside its ME group
+// that appear, a Poisson-binomial convolution over the independent groups.
+// A segment tree over the positions computes it for all tuples at once
+// (rankTree): each group contributes one Bernoulli factor per range of
+// positions between two of its members, placed at O(log n) tree nodes, and
+// one walk down the tree applies each factor once for every position below
+// its node. That is O(n log n · k) per query, against O(n²·k) for
+// recomputing every position from scratch; factors are multiplied, never
+// divided out, so groups of mass 1 stay stable.
+//
+// U-Topk is one run of the main algorithm with a single line (UTopk).
 package baselines
 
 import (
@@ -25,16 +34,19 @@ import (
 	"sort"
 
 	"probtopk/internal/core"
-	"probtopk/internal/pmf"
 	"probtopk/internal/uncertain"
 )
 
 // UTopk returns the U-Topk answer: the top-k vector with the maximum
-// probability of being a top-k vector, with its probability and total score.
-// It is computed from the main algorithm's exact vector tracking, which
-// line coalescing provably preserves (merges keep the more probable vector).
+// probability of being a top-k vector, with that probability. It is one run
+// of the main algorithm over the whole table (Threshold 0) with vector
+// tracking and a single line: merging two lines keeps the more probable of
+// their vectors, which preserves the most probable one (see
+// pmf.Dist.MaxVecProbLine), so the cap costs nothing in the answer and
+// keeps every cell of the run to one line. The root package's
+// UTopKSnapshot runs the same parameters through its engine.
 func UTopk(p *uncertain.Prepared, k int) (vec []int, prob float64, err error) {
-	res, err := core.Distribution(p, core.Params{K: k, TrackVectors: true})
+	res, err := core.Distribution(p, core.Params{K: k, MaxLines: 1, TrackVectors: true})
 	if err != nil {
 		return nil, 0, err
 	}
@@ -45,42 +57,6 @@ func UTopk(p *uncertain.Prepared, k int) (vec []int, prob float64, err error) {
 	return line.Vec.Slice(), line.VecProb, nil
 }
 
-// UTopkLine returns the full distribution line of the U-Topk vector from an
-// already-computed distribution (score, mass at that score, vector,
-// probability).
-func UTopkLine(d *pmf.Dist) (pmf.Line, bool) { return d.MaxVecProbLine() }
-
-// higherRankCounts returns, for tuple position i, the probability
-// distribution of the number of higher-ranked tuples (positions < i) that
-// appear, excluding tuples of skipGroup (whose members cannot co-appear with
-// the tuple under consideration). The returned slice is truncated at maxCount
-// with the tail mass accumulated in the last entry.
-func higherRankCounts(p *uncertain.Prepared, i, skipGroup, maxCount int) []float64 {
-	counts := make([]float64, maxCount+1)
-	counts[0] = 1
-	// One Bernoulli trial per group with a member above i, in the order of
-	// the groups' first members: its success probability is the chance some
-	// member at a position < i appears. Groups are independent; members are
-	// exclusive, so each group contributes at most one tuple.
-	for pos := 0; pos < i; pos++ {
-		tp := p.Tuples[pos]
-		if !tp.Lead || tp.Group == skipGroup {
-			continue
-		}
-		m := p.PrefixMass(tp.Group, i)
-		for c := maxCount; c >= 0; c-- {
-			moved := counts[c] * m
-			counts[c] -= moved
-			if c < maxCount {
-				counts[c+1] += moved
-			} else {
-				counts[c] += moved // saturate: ≥ maxCount higher tuples
-			}
-		}
-	}
-	return counts
-}
-
 // InTopkProbs returns, for every prepared position, the probability that the
 // tuple is among the top-k: it appears and at most k−1 higher-ranked tuples
 // appear.
@@ -89,37 +65,34 @@ func InTopkProbs(p *uncertain.Prepared, k int) ([]float64, error) {
 		return nil, fmt.Errorf("baselines: k must be ≥ 1, got %d", k)
 	}
 	out := make([]float64, p.Len())
-	for i := range out {
-		tp := p.Tuples[i]
-		counts := higherRankCounts(p, i, tp.Group, k)
+	rankCounts(p, k, func(i int, counts []float64) {
 		var below float64
-		for c := 0; c < k; c++ {
-			below += counts[c]
+		for _, c := range counts[:min(k, len(counts))] {
+			below += c
 		}
-		out[i] = tp.Prob * below
-	}
+		out[i] = p.Tuples[i].Prob * below
+	})
 	return out, nil
 }
 
 // RankProbs returns rank[i][r-1] = Pr(tuple at position i occupies rank r),
 // for r = 1..k: the tuple appears and exactly r−1 higher-ranked tuples
-// appear.
+// appear. The rows share one backing array.
 func RankProbs(p *uncertain.Prepared, k int) ([][]float64, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("baselines: k must be ≥ 1, got %d", k)
 	}
+	flat := make([]float64, p.Len()*k)
 	out := make([][]float64, p.Len())
-	for i := range out {
-		tp := p.Tuples[i]
-		counts := higherRankCounts(p, i, tp.Group, k)
-		row := make([]float64, k)
+	rankCounts(p, k, func(i int, counts []float64) {
+		row := flat[i*k : (i+1)*k : (i+1)*k]
 		// counts[k] holds the saturated ≥k tail; ranks 1..k only read the
 		// exact entries 0..k−1.
-		for r := 1; r <= k; r++ {
-			row[r-1] = tp.Prob * counts[r-1]
+		for c, pr := range counts[:min(k, len(counts))] {
+			row[c] = p.Tuples[i].Prob * pr
 		}
 		out[i] = row
-	}
+	})
 	return out, nil
 }
 
@@ -135,21 +108,22 @@ type RankAnswer struct {
 // (lower-position) tuple, keeping the answer deterministic. The same tuple
 // may win several ranks — the behaviour the paper criticises in §1.
 func UKRanks(p *uncertain.Prepared, k int) ([]RankAnswer, error) {
-	probs, err := RankProbs(p, k)
-	if err != nil {
-		return nil, err
+	if k < 1 {
+		return nil, fmt.Errorf("baselines: k must be ≥ 1, got %d", k)
 	}
 	out := make([]RankAnswer, k)
-	for r := 1; r <= k; r++ {
-		best := RankAnswer{Rank: r, Position: -1}
-		for i := range probs {
-			if pr := probs[i][r-1]; pr > best.Prob {
-				best.Position = i
-				best.Prob = pr
+	for r := range out {
+		out[r] = RankAnswer{Rank: r + 1, Position: -1}
+	}
+	// Leaves come in position order, so a strict comparison keeps the
+	// lowest position among equals.
+	rankCounts(p, k, func(i int, counts []float64) {
+		for c, pr := range counts[:min(k, len(counts))] {
+			if pr *= p.Tuples[i].Prob; pr > out[c].Prob {
+				out[c].Position, out[c].Prob = i, pr
 			}
 		}
-		out[r-1] = best
-	}
+	})
 	return out, nil
 }
 

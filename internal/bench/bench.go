@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"time"
 
-	"probtopk/internal/baselines"
 	"probtopk/internal/cartel"
 	"probtopk/internal/core"
 	"probtopk/internal/pmf"
@@ -70,7 +69,7 @@ func distSeries(name string, d *pmf.Dist, buckets int) Series {
 // markDist computes the U-Topk and 3-Typical markers for a distribution.
 func markDist(d *pmf.Dist) ([]Marker, error) {
 	var ms []Marker
-	if u, ok := baselines.UTopkLine(d); ok {
+	if u, ok := d.MaxVecProbLine(); ok {
 		ms = append(ms, Marker{Name: "U-Topk", Score: u.Score, Prob: u.VecProb})
 	}
 	ans, err := typical.Select(d, 3)

@@ -129,3 +129,25 @@ func BenchmarkLocalGroups(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCartelFanOut is an 80-segment CarTel-style table at k=10 run
+// serially and fanned out over two workers. The fanned-out query hands
+// columns between the helper Scratches and the main one; its bytes per
+// query show whether their recycled distributions keep their storage.
+func BenchmarkCartelFanOut(b *testing.B) {
+	p, err := uncertain.Prepare(cartelGroups(80, 7))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			params := Params{K: 10, Threshold: 0.001, MaxLines: 200, TrackVectors: true, Parallelism: workers}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Distribution(p, params); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -57,7 +57,7 @@ func KCombo(p *uncertain.Prepared, params Params) (*Result, error) {
 				continue
 			}
 			groupStamp[g] = stamp
-			prob *= 1 - p.GroupMassBefore(g, q)
+			prob *= 1 - p.PrefixMass(g, q)
 		}
 		if prob <= 0 {
 			return

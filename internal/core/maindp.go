@@ -273,7 +273,9 @@ func (s *Scratch) evalParallel(t *foldTree, tasks []int32, workers int, params P
 			ws := GetScratch()
 			s.helpers[w] = ws
 			ws.grid.Arena = &ws.arena
-			ws.reserve(int(t.nodes[0].need), params.K)
+			// The helper's free list also takes back, at release, as many
+			// distributions as its tasks' columns lend: up to every task's.
+			ws.reserve(int(t.nodes[0].need)+len(tasks), params.K)
 			local := 0
 			for i := cursor.Add(1) - 1; i < int64(len(tasks)); i = cursor.Add(1) - 1 {
 				cols := ws.eval(t, tasks[i], 0, params, nil, &local)

@@ -223,25 +223,29 @@ func (d *Dist) reset(trackVectors bool) {
 }
 
 // ensureCap makes sure n lines can be appended without reallocating
-// mid-kernel. Call on an empty (just-reset) distribution.
+// mid-kernel. Call on an empty (just-reset) distribution. Storage that must
+// grow grows to twice n: the dynamic program recycles its distributions
+// across kernels that fill up to the line cap (combines) and to the sum of
+// two columns (merges), and across the Scratches of a fanned-out query, so
+// storage sized exactly for one kernel would be regrown by the next.
 func (d *Dist) ensureCap(n int) {
 	if cap(d.scores) < n {
-		d.scores = make([]float64, 0, n)
+		d.scores = make([]float64, 0, 2*n)
 	}
 	if cap(d.probs) < n {
-		d.probs = make([]float64, 0, n)
+		d.probs = make([]float64, 0, 2*n)
 	}
 	if !d.hasVec {
 		return
 	}
 	if cap(d.vecs) < n {
-		d.vecs = make([]*Vector, 0, n)
+		d.vecs = make([]*Vector, 0, 2*n)
 	}
 	if cap(d.vprobs) < n {
-		d.vprobs = make([]float64, 0, n)
+		d.vprobs = make([]float64, 0, 2*n)
 	}
 	if cap(d.vbounds) < n {
-		d.vbounds = make([]float64, 0, n)
+		d.vbounds = make([]float64, 0, 2*n)
 	}
 }
 
@@ -520,8 +524,47 @@ func (d *Dist) MaxProbLine() (Line, bool) {
 }
 
 // MaxVecProbLine returns the line whose representative vector has the largest
-// vector probability; this is the U-Topk answer when vectors are tracked
-// exactly (coalescing preserves the max since merges keep the better vector).
+// vector probability. On the main algorithm's output over the whole table
+// (core.Params.Threshold 0) that is the U-Topk answer among the vectors the
+// algorithm builds — those whose configuration (Theorem 3) has positive
+// probability — at any line cap: no merge loses the most probable vector.
+//
+// Proof. A line's tracked vector probability is the product of its chosen
+// tuples' probabilities and the skip factors of the rows it passed over,
+// where a row's skip factor for a vector whose lowest score is b drops the
+// members scoring above b (members tied with b are free). Every merge — a
+// coalesce, two lines at one score, two columns joined at a fold-tree node —
+// keeps the line whose vector has the larger tracked probability.
+//
+//  1. Above a unit's fold-tree leaf every row outranks every vector below
+//     it, and the vectors of a non-lead unit share their lowest score, so
+//     there a merge keeps the line whose every completion is at least as
+//     probable. Only in the leaf of a lead region do two merged lines face
+//     different skip factors for the rows still to come.
+//  2. Call a vector tight when it takes every row still to come that holds
+//     a member tied with its lowest score. Say a merge drops P2 for P1 and
+//     V = P2 + π is a most probable vector of the unit and tight. Every row
+//     π passes over then has all its members above V's lowest score, so its
+//     skip factor for V is the smallest a row can have, and P1 + π is at
+//     least as probable as V: a most probable vector too, carried by the
+//     kept line. It is tight, or one of those rows would charge it strictly
+//     less and make it more probable than V.
+//  3. Say a most probable vector V of the unit starts at its lowest tuple e
+//     and is not tight: a row R it will pass over holds a member t tied
+//     with e. t ranks above e with the same score, so Pr(t) ≥ Pr(e) in the
+//     canonical order; e leads its group (lead region), so leaving it out
+//     frees no factor. V − e + t is thus at least as probable — it gains
+//     Pr(t) for Pr(e) times R's skip factor, and skips the rows between e
+//     and its own lowest tuple — and that tuple ranks above e: either a
+//     later exit row of the same unit, so the vector has not started, or a
+//     tuple of a unit ranked above.
+//
+// So by induction over a lead region's rows, some most probable vector of
+// the unit has not started yet, or is carried by a kept line and tight, or
+// is matched by a vector of a unit ranked above. By induction over the
+// units in rank order, the answer is at least as probable as every unit's
+// most probable vector. TestUTopkOneLine in internal/baselines checks the
+// claim against world enumeration at caps 1, 2 and 5.
 func (d *Dist) MaxVecProbLine() (Line, bool) {
 	if len(d.scores) == 0 {
 		return Line{}, false

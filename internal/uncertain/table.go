@@ -591,11 +591,6 @@ func (p *Prepared) PrefixMass(g, pos int) float64 {
 	return p.groupCum[g][n]
 }
 
-// GroupMassBefore returns, for group g, the total probability of members at
-// positions strictly below limit. Identical to PrefixMass; kept as the
-// reader-facing name used by rule-tuple compression.
-func (p *Prepared) GroupMassBefore(g, limit int) float64 { return p.PrefixMass(g, limit) }
-
 // UnitKind distinguishes the two kinds of dynamic-programming units of
 // §3.3.3.
 type UnitKind int

@@ -141,8 +141,9 @@ func TestPrefixMass(t *testing.T) {
 	if got := p.PrefixMass(g2, 7); math.Abs(got-1.0) > 1e-12 {
 		t.Fatalf("PrefixMass(7) = %v", got)
 	}
-	if got := p.GroupMassBefore(g2, 3); math.Abs(got-0.6) > 1e-12 {
-		t.Fatalf("GroupMassBefore = %v", got)
+	// At a member's own position the member is not yet counted.
+	if got := p.PrefixMass(g2, 2); math.Abs(got-0.3) > 1e-12 {
+		t.Fatalf("PrefixMass(2) = %v", got)
 	}
 }
 

@@ -154,7 +154,8 @@ func Exact() *Options { return &Options{Threshold: -1, MaxLines: -1} }
 type Line struct {
 	// Score is the total score of the aggregated top-k vectors.
 	Score float64
-	// Prob is the probability mass at Score.
+	// Prob is the probability mass at Score. In the Line UTopK returns it is
+	// the mass of the one-line run's single line: Pr(a top-k vector exists).
 	Prob float64
 	// Vector lists the tuple IDs of the most probable top-k vector with this
 	// score, highest-ranked first. Empty for distributions not derived from
